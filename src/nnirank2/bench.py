@@ -84,50 +84,55 @@ def _map(fn, tasks):
         return list(pool.map(fn, tasks))
 
 
+def _timed(fn, A):
+    t0 = time.perf_counter()
+    out = fn(A)
+    return out, time.perf_counter() - t0
+
+
+def _timed_solve(A):
+    out, dt = _timed(solve, A)
+    return max(int(x) for x in A.flat), dt, out.verdict == RANK2
+
+
 def _solve_product_instance(task):
     n, sigma, seed = task
-    _, _, A = gen_product(n, n, sigma, seed=seed)
-    largest = max(int(x) for x in A.flat)
-    t0 = time.perf_counter()
-    out = solve(A)
-    dt = time.perf_counter() - t0
-    return largest, dt, out.verdict == RANK2
+    return _timed_solve(gen_product(n, n, sigma, seed=seed)[2])
 
 
 def _solve_reduce_instance(task):
     n, sigma, seed = task
     _, _, A = gen_product(n, n, sigma, seed=seed)
-    largest = max(int(x) for x in A.flat)
-    t0 = time.perf_counter()
-    out = solve(A)
-    t_direct = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    C, _ = reduce_to_3x3(A)
-    t_reduce = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    out_c = solve(C)
-    t_factor = time.perf_counter() - t0
-    assert (out.verdict == RANK2) == (out_c.verdict == RANK2)
-    return largest, t_direct, t_reduce, t_factor, out.verdict == RANK2
+    out, t_direct = _timed(solve, A)
+    (C, _), t_reduce = _timed(reduce_to_3x3, A)
+    out_c, t_factor = _timed(solve, C)
+    if (out.verdict == RANK2) != (out_c.verdict == RANK2):
+        raise RuntimeError("internal error: the reduced instance has another verdict")
+    return max(int(x) for x in A.flat), t_direct, t_reduce, t_factor, out.verdict == RANK2
 
 
 def _solve_bt_instance(t):
-    A = gen_bt(t)
-    largest = max(int(x) for x in A.flat)
-    t0 = time.perf_counter()
-    out = solve(A)
-    dt = time.perf_counter() - t0
-    return largest, dt, out.verdict == RANK2
+    return _timed_solve(gen_bt(t))
 
 
 def _solve_near_t_instance(task):
     t, seed = task
-    A = gen_near_t(t, seed=seed)
-    largest = max(int(x) for x in A.flat)
-    t0 = time.perf_counter()
-    out = solve(A)
-    dt = time.perf_counter() - t0
-    return t, largest, dt, out.verdict == RANK2
+    return (t, *_timed_solve(gen_near_t(t, seed=seed)))
+
+
+def _single(t, largest, dt, is_r2) -> BenchRecord:
+    """Record of one 3 x 3 instance."""
+    return BenchRecord(
+        n=3,
+        m=3,
+        sigma_or_t=t,
+        count=1,
+        avg_largest_entry=largest,
+        min_seconds=dt,
+        avg_seconds=dt,
+        max_seconds=dt,
+        rank2_count=1 if is_r2 else 0,
+    )
 
 
 def _aggregate(n, m, sigma_or_t, results) -> BenchRecord:
@@ -184,45 +189,14 @@ def run_table2(count: int = 100, seed: int = 0, ns=None, sigmas=None) -> list[Be
 def run_bt(tmax: int = 100) -> list[BenchRecord]:
     """One record per t for the hard deterministic 3 x 3 family."""
     results = _map(_solve_bt_instance, list(range(1, tmax + 1)))
-    records = []
-    for t, (largest, dt, is_r2) in zip(range(1, tmax + 1), results):
-        records.append(
-            BenchRecord(
-                n=3,
-                m=3,
-                sigma_or_t=t,
-                count=1,
-                avg_largest_entry=largest,
-                min_seconds=dt,
-                avg_seconds=dt,
-                max_seconds=dt,
-                rank2_count=1 if is_r2 else 0,
-            )
-        )
-    return records
+    return [_single(t, *r) for t, r in zip(range(1, tmax + 1), results)]
 
 
 def run_near_t(count: int = 1000, seed: int = 0) -> list[BenchRecord]:
     """One record per matrix, t drawn uniformly from [3, 100]."""
     rng = np.random.default_rng([seed, 999])
     tasks = [(int(rng.integers(3, 101)), [seed, i]) for i in range(count)]
-    results = _map(_solve_near_t_instance, tasks)
-    records = []
-    for t, largest, dt, is_r2 in results:
-        records.append(
-            BenchRecord(
-                n=3,
-                m=3,
-                sigma_or_t=t,
-                count=1,
-                avg_largest_entry=largest,
-                min_seconds=dt,
-                avg_seconds=dt,
-                max_seconds=dt,
-                rank2_count=1 if is_r2 else 0,
-            )
-        )
-    return records
+    return [_single(*r) for r in _map(_solve_near_t_instance, tasks)]
 
 
 def records_to_csv(records: list[BenchRecord], with_reduce: bool = False) -> str:

@@ -16,12 +16,15 @@ import numpy as np
 
 from .linalg import (
     Vec2,
+    _column_frame,
+    _hermite2,
+    _int_coords,
+    _pivot,
     as_int_matrix,
     cross2,
     ext_gcd,
     primitive,
     primitive_point,
-    smith_normal_form,
 )
 
 
@@ -68,19 +71,28 @@ class CanonicalDiagram:
         return self.diagram.basis
 
 
-def column_lattice_basis(A) -> np.ndarray:
-    """Basis (n x 2) of the saturated lattice col(A) ∩ Z^n.
+def _column_lattice(rows) -> tuple[list[Vec2], list[Vec2]]:
+    """Saturated column-lattice basis (as n rows) and the columns' points.
 
-    From A = S D T with S unimodular and exactly two nonzero invariant
-    factors, the first two columns of S generate every integer vector of
-    the column span, so the gcd of the 2x2 minors of the result is 1.
+    With B two independent columns of A and H the Hermite form of B's
+    rows, an integer x has B x integer exactly when x is in H^-1 Z^2, so
+    the columns of B H^-1 generate col(A) ∩ Z^n.  A column with
+    coordinates x in B has coordinates H x in that basis.
     """
-    A = as_int_matrix(A)
-    S, D, _ = smith_normal_form(A)
-    r = sum(1 for i in range(min(A.shape)) if D[i, i] != 0)
-    if r != 2:
-        raise ValueError(f"matrix must have rank 2, got rank {r}")
-    return S[:, :2].copy()
+    B, (_, _, d), coords = _column_frame(rows)
+    (a, b), (_, c) = _hermite2(B)
+    basis = [(x // a, (a * y - b * x) // (a * c)) for x, y in B]
+    points = [((a * n0 + b * n1) // d, c * n1 // d) for n0, n1 in coords]
+    return basis, points
+
+
+def column_lattice_basis(A) -> np.ndarray:
+    """Basis (n x 2) of the saturated lattice col(A) ∩ Z^n: B H^-1 for two
+    independent columns B of A and the Hermite form H of B's rows, so the
+    gcd of its 2x2 minors is 1.  Raises ValueError unless A has rank 2.
+    """
+    basis, _ = _column_lattice(as_int_matrix(A).tolist())
+    return np.array(basis, dtype=object)
 
 
 def point_coordinates(A, basis) -> list[Vec2]:
@@ -91,37 +103,15 @@ def point_coordinates(A, basis) -> list[Vec2]:
     """
     A = as_int_matrix(A)
     B = as_int_matrix(basis)
-    n, m = A.shape
-    if B.shape != (n, 2):
+    if B.shape != (A.shape[0], 2):
         raise ValueError("basis must be n x 2 for an n-row matrix")
-    i0 = next((i for i in range(n) if B[i, 0] != 0 or B[i, 1] != 0), None)
-    pair = None
-    if i0 is not None:
-        for j in range(n):
-            d = B[i0, 0] * B[j, 1] - B[i0, 1] * B[j, 0]
-            if d != 0:
-                pair = (i0, j, d)
-                break
-    if pair is None:
+    brows = [tuple(r) for r in B.tolist()]
+    piv = _pivot(brows)
+    if piv is None:
         raise ValueError("basis must have rank 2")
-    i, j, d = pair
-    pts: list[Vec2] = []
-    for col in range(m):
-        yi, yj = A[i, col], A[j, col]
-        n0 = yi * B[j, 1] - yj * B[i, 1]
-        n1 = B[i, 0] * yj - B[j, 0] * yi
-        x0, r0 = divmod(n0, d)
-        x1, r1 = divmod(n1, d)
-        if r0 != 0 or r1 != 0:
-            raise ValueError(
-                f"column {col} has non-integer coordinates in the given basis"
-            )
-        for k in range(n):
-            if B[k, 0] * x0 + B[k, 1] * x1 != A[k, col]:
-                raise ValueError(
-                    f"column {col} is outside the span of the given basis"
-                )
-        pts.append((int(x0), int(x1)))
+    pts = [_int_coords(brows, piv, col) for col in zip(*A.tolist())]
+    if None in pts:
+        raise ValueError(f"column {pts.index(None)} has no integer coordinates in the basis")
     return pts
 
 
@@ -149,17 +139,15 @@ def cone_from_constraint_rows(rows) -> tuple[Vec2, Vec2] | None:
     return (found[0], found[1])
 
 
-def _plane_cone(basis: np.ndarray, n_rows: int) -> tuple[tuple[Vec2, int], tuple[Vec2, int]]:
-    """Extreme rays of {p : basis @ p >= 0} with their vanishing rows.
+def _plane_cone(brows: list[Vec2]) -> tuple[tuple[Vec2, int], tuple[Vec2, int]]:
+    """Extreme rays of {p : B p >= 0} with their vanishing rows.
 
-    Each ray is paired with the smallest index of a nonzero basis row whose
-    form vanishes on it; the two pairs are returned sorted by that index.
+    B is given by its rows.  Each ray is paired with the smallest index of
+    a nonzero row whose form vanishes on it; the two pairs are returned
+    sorted by that index.  Any basis of the column space gives the same
+    vanishing rows.
     """
-    rows = [
-        (i, (int(basis[i, 0]), int(basis[i, 1])))
-        for i in range(n_rows)
-        if basis[i, 0] != 0 or basis[i, 1] != 0
-    ]
+    rows = [(i, r) for i, r in enumerate(brows) if r != (0, 0)]
     rays = cone_from_constraint_rows([r for _, r in rows])
     if rays is None:
         raise ValueError("column cone is not pointed and two-dimensional")
@@ -171,6 +159,12 @@ def _plane_cone(basis: np.ndarray, n_rows: int) -> tuple[tuple[Vec2, int], tuple
     return ((tagged[0][1], tagged[0][0]), (tagged[1][1], tagged[1][0]))
 
 
+def _nonnegative(A: np.ndarray) -> np.ndarray:
+    if (A < 0).any():
+        raise ValueError("matrix must be nonnegative")
+    return A
+
+
 def extreme_rays(A) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
     """The two extreme rays of col(A) ∩ R⁺ⁿ, each with a vanishing row.
 
@@ -179,32 +173,19 @@ def extreme_rays(A) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
     are ordered by ascending vanishing-row index.  Zero rows of A never
     appear as vanishing rows.
     """
-    A = as_int_matrix(A)
-    if (A < 0).any():
-        raise ValueError("matrix must be nonnegative")
-    basis = column_lattice_basis(A)
-    (d1, k1), (d2, k2) = _plane_cone(basis, A.shape[0])
-    r1 = primitive(basis @ as_col(d1))
-    r2 = primitive(basis @ as_col(d2))
-    return ((r1, k1), (r2, k2))
-
-
-def as_col(p: Vec2) -> np.ndarray:
-    out = np.empty(2, dtype=object)
-    out[0], out[1] = p[0], p[1]
-    return out
+    B, _, _ = _column_frame(_nonnegative(as_int_matrix(A)).tolist())
+    return tuple(
+        (primitive([x * d[0] + y * d[1] for x, y in B]), k) for d, k in _plane_cone(B)
+    )
 
 
 def build_diagram(A) -> Diagram:
     """Construct the full plane diagram of a rank-2 nonnegative matrix."""
-    A = as_int_matrix(A)
-    if (A < 0).any():
-        raise ValueError("matrix must be nonnegative")
-    basis = column_lattice_basis(A)
-    pts = point_coordinates(A, basis)
-    (d1, _), (d2, _) = _plane_cone(basis, A.shape[0])
+    A = _nonnegative(as_int_matrix(A))
+    basis, pts = _column_lattice(A.tolist())
+    (d1, _), (d2, _) = _plane_cone(basis)
     return Diagram(
-        basis=basis,
+        basis=np.array(basis, dtype=object),
         points=tuple(pts),
         cone_gens=(d1, d2),
         source_dims=(int(A.shape[0]), int(A.shape[1])),
@@ -250,8 +231,8 @@ def canonicalize(d: Diagram, r: int = 1) -> CanonicalDiagram:
         M[1],
     )
     new_other = _apply(T, other)
-    assert _apply(T, g) == (1, 0)
-    assert 0 <= new_other[0] < new_other[1]
+    if _apply(T, g) != (1, 0) or not 0 <= new_other[0] < new_other[1]:
+        raise RuntimeError("internal error: cone transform is not in normal form")
     new_points = tuple(_apply(T, p) for p in d.points)
     new_basis = d.basis @ _inv2(T)
     inner = Diagram(

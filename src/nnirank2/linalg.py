@@ -1,9 +1,13 @@
 """Exact integer and rational linear algebra primitives.
 
-All matrices and vectors are numpy object arrays holding Python ints, so
-every operation is exact at any magnitude; rationals are
+Public functions take and return numpy object arrays holding Python ints,
+so every operation is exact at any magnitude; rationals are
 ``fractions.Fraction`` (always reduced, positive denominator).  There is no
 floating point anywhere in this module.
+
+The private rank-2 lattice kernel (``_pivot`` to ``_lagrange_gauss``) works
+on tuples of Python ints; the Smith form is the reference it is tested
+against and runs on no solve or reduce path.
 """
 
 from __future__ import annotations
@@ -11,41 +15,56 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 Vec2 = tuple[int, int]
+Pivot = tuple[int, int, int]  # rows i, k of an n x 2 basis and their minor
 
 gcd = math.gcd  # gcd of absolute values; gcd(0, 0) == 0
+
+
+def _entry(x) -> int:
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"entries must be integers, got the bool {x!r}")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"entries must be integers, got {x!r}") from None
 
 
 def as_int_matrix(data) -> np.ndarray:
     """Coerce nested sequences or arrays to a 2-D object array of Python ints.
 
-    Rejects empty or ragged input and non-integer entries.
+    This is the one input contract of every entry point: empty or ragged
+    input and entries that are not integers (floats, strings, bools) raise
+    ValueError.
     """
-    if isinstance(data, np.ndarray) and data.dtype == object and data.ndim == 2:
-        rows = data.tolist()
-    else:
-        rows = [list(r) for r in data]
+    if isinstance(data, np.ndarray) and data.ndim != 2:
+        raise ValueError(f"matrix must be 2-D, got {data.ndim} dimensions")
+    try:
+        rows = data.tolist() if isinstance(data, np.ndarray) else [list(r) for r in data]
+    except TypeError:
+        raise ValueError("matrix must be a sequence of rows") from None
     if not rows or not rows[0]:
         raise ValueError("matrix must have at least one row and one column")
     width = len(rows[0])
-    out = np.empty((len(rows), width), dtype=object)
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(
                 f"ragged matrix: row {i} has {len(row)} entries, expected {width}"
             )
-        for j, x in enumerate(row):
-            out[i, j] = operator.index(x)
+        if set(map(type, row)) != {int}:
+            rows[i] = [_entry(x) for x in row]
+    out = np.empty((len(rows), width), dtype=object)
+    out[:] = rows
     return out
 
 
 def as_int_vector(data) -> np.ndarray:
     """Coerce a sequence to a 1-D object array of Python ints."""
-    items = [operator.index(x) for x in data]
+    items = [_entry(x) for x in data]
     if not items:
         raise ValueError("vector must be nonempty")
     out = np.empty(len(items), dtype=object)
@@ -113,63 +132,49 @@ def cross2(p: Vec2, q: Vec2) -> int:
     return p[0] * q[1] - p[1] * q[0]
 
 
-def rank_exact(A) -> int:
-    """Rank over the rationals, by fraction-free (Bareiss) elimination.
+def _bareiss(M: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of M in place: (rank, signed last pivot).
 
-    Division by the previous pivot is exact, so intermediate entries stay
-    integer (they are minors of the input) and never blow up the way plain
-    cross-multiplication elimination would.
+    Every row below the pivot is updated, so each division by the previous
+    pivot is exact: intermediate entries are minors of the input and never
+    blow up the way plain cross-multiplication elimination would.  For a
+    square matrix of full rank the signed last pivot is the determinant.
     """
-    M = [[int(x) for x in row] for row in as_int_matrix(A)]
     n, m = len(M), len(M[0])
-    rank = 0
-    prev = 1
+    rank, sign, prev = 0, 1, 1
     for col in range(m):
         if rank == n:
             break
         piv = next((r for r in range(rank, n) if M[r][col] != 0), None)
         if piv is None:
             continue
-        M[rank], M[piv] = M[piv], M[rank]
-        p = M[rank][col]
+        if piv != rank:
+            M[rank], M[piv] = M[piv], M[rank]
+            sign = -sign
         row_p = M[rank]
-        for r in range(rank + 1, n):
-            q = M[r][col]
-            row_r = M[r]
-            if q != 0:
-                for c in range(col + 1, m):
-                    row_r[c] = (row_r[c] * p - q * row_p[c]) // prev
-                row_r[col] = 0
+        p = row_p[col]
+        for row_r in M[rank + 1:]:
+            q = row_r[col]
+            row_r[col:] = [0] + [
+                (x * p - q * y) // prev for x, y in zip(row_r[col + 1:], row_p[col + 1:])
+            ]
         prev = p
         rank += 1
-    return rank
+    return rank, sign * prev
+
+
+def rank_exact(A) -> int:
+    """Rank over the rationals, by fraction-free (Bareiss) elimination."""
+    return _bareiss(as_int_matrix(A).tolist())[0]
 
 
 def det_exact(A) -> int:
     """Exact determinant of a square integer matrix (Bareiss)."""
-    M = [[int(x) for x in row] for row in as_int_matrix(A)]
-    n = len(M)
-    if len(M[0]) != n:
+    M = as_int_matrix(A).tolist()
+    if len(M) != len(M[0]):
         raise ValueError("determinant requires a square matrix")
-    sign = 1
-    prev = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            sign = -sign
-        p = M[col][col]
-        row_p = M[col]
-        for r in range(col + 1, n):
-            q = M[r][col]
-            row_r = M[r]
-            for c in range(col + 1, n):
-                row_r[c] = (row_r[c] * p - q * row_p[c]) // prev
-            row_r[col] = 0
-        prev = p
-    return sign * M[n - 1][n - 1]
+    rank, last = _bareiss(M)
+    return last if rank == len(M) else 0
 
 
 def is_unimodular(A) -> bool:
@@ -291,57 +296,141 @@ def smith_normal_form(A) -> SnfResult:
     return SnfResult(S, D, T)
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> int:
-    return int(u @ v)
+def _pivot(brows: Sequence[Vec2]) -> Pivot | None:
+    """First nonzero row i of an n x 2 matrix (given by its rows), first row
+    k independent of it, and their minor d; None when the rank is < 2."""
+    i = next((r for r, (x, y) in enumerate(brows) if x or y), None)
+    if i is not None:
+        x0, y0 = brows[i]
+        for k, (x, y) in enumerate(brows):
+            d = x0 * y - y0 * x
+            if d:
+                return i, k, d
+    return None
 
 
-def _independent(v1: np.ndarray, v2: np.ndarray) -> bool:
-    i0 = next((i for i in range(len(v1)) if v1[i] != 0), None)
-    if i0 is None:
-        return False
-    return any(v1[i0] * v2[j] != v2[i0] * v1[j] for j in range(len(v2)))
+def _span_coords(brows: Sequence[Vec2], piv: Pivot, y: Sequence[int]) -> Vec2 | None:
+    """Numerators (n0, n1) with d * y == n0 * col0 + n1 * col1, by Cramer's
+    rule on the pivot rows; None when some row fails (y is outside the span)."""
+    i, k, d = piv
+    (a0, a1), (b0, b1) = brows[i], brows[k]
+    n0 = y[i] * b1 - y[k] * a1
+    n1 = a0 * y[k] - b0 * y[i]
+    for (c0, c1), yr in zip(brows, y):
+        if c0 * n0 + c1 * n1 != d * yr:
+            return None
+    return n0, n1
 
 
-def _sign_normalized(v: np.ndarray) -> np.ndarray:
-    for x in v:
-        if x != 0:
-            return -v if x < 0 else v
-    return v
+def _int_coords(brows: Sequence[Vec2], piv: Pivot, y: Sequence[int]) -> Vec2 | None:
+    """Integer x with col0 * x[0] + col1 * x[1] == y, or None."""
+    num = _span_coords(brows, piv, y)
+    if num is None:
+        return None
+    q0, r0 = divmod(num[0], piv[2])
+    q1, r1 = divmod(num[1], piv[2])
+    return (q0, q1) if r0 == r1 == 0 else None
+
+
+def _hermite2(vectors) -> tuple[Vec2, Vec2]:
+    """Hermite form ((a, b), (0, c)), a, c > 0, 0 <= b < c, of the lattice the
+    integer 2-vectors generate; equal lattices give equal forms.
+
+    One extended-gcd step per vector folds it into the first row; the rest
+    has first coordinate 0 and folds into c.  ValueError unless rank 2.
+    """
+    a = b = c = 0
+    for x, y in vectors:
+        if x:
+            if a:
+                g, s, t = ext_gcd(a, x)
+                a, b, y = g, s * b + t * y, (x // g) * b - (a // g) * y
+            else:
+                a, b, y = x, y, 0
+        c = math.gcd(c, y)
+        if c:
+            b %= c
+    if a == 0 or c == 0:
+        raise ValueError("vectors do not span the plane")
+    if a < 0:
+        a, b = -a, -b % c
+    return (a, b), (0, c)
+
+
+def _column_frame(rows: Sequence[Sequence[int]]) -> tuple[list[Vec2], Pivot, list[Vec2]]:
+    """Two independent columns of a rank-2 matrix and every column in them.
+
+    Returns B (the rows of the first nonzero column and the first column
+    independent of it, as 2-vectors), a pivot of B, and each column's
+    coordinates in B as numerators over the pivot's minor.  Checking every
+    column is the rank test: ValueError unless the rank is exactly 2.
+    """
+    cols = list(zip(*rows))
+    j0 = next((j for j, col in enumerate(cols) if any(col)), None)
+    if j0 is None:
+        raise ValueError("matrix must have rank 2, got rank 0")
+    for col in cols[j0 + 1:]:
+        B = list(zip(cols[j0], col))
+        piv = _pivot(B)
+        if piv is not None:
+            break
+    else:
+        raise ValueError("matrix must have rank 2, got rank 1")
+    coords = [_span_coords(B, piv, col) for col in cols]
+    if None in coords:
+        raise ValueError("matrix must have rank 2, got rank > 2")
+    return B, piv, coords
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _sign_normalized(v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-x for x in v) if next((x for x in v if x), 0) < 0 else v
+
+
+def _lagrange_gauss(b1: tuple[int, ...], b2: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Canonical reduced basis of the lattice of two independent vectors.
+
+    After Lagrange-Gauss reduction (||b1|| <= ||b2|| <= ||b2 +- b1||), the
+    shortest vectors of the lattice are among +-b1, +-b2, +-(b2 -+ b1),
+    and so are the shortest ones independent of them.  Sign-normalizing
+    these four and taking the two smallest by (squared norm, tuple) gives
+    a basis that depends on the lattice only, not on the starting basis.
+    """
+    n1, n2 = _dot(b1, b1), _dot(b2, b2)
+    if n1 > n2:
+        b1, b2, n1, n2 = b2, b1, n2, n1
+    while True:
+        mu = (2 * _dot(b1, b2) + n1) // (2 * n1)  # nearest integer to <b1,b2>/n1
+        if mu:
+            b2 = tuple(y - mu * x for x, y in zip(b1, b2))
+            n2 = _dot(b2, b2)
+        if n2 >= n1:
+            break
+        b1, b2, n1, n2 = b2, b1, n2, n1
+    cands = [b1, b2, tuple(y - x for x, y in zip(b1, b2)), tuple(y + x for x, y in zip(b1, b2))]
+    (_, v1), (_, v2) = sorted((_dot(v, v), v) for v in map(_sign_normalized, cands))[:2]
+    return v1, v2
 
 
 def reduce_basis_rank2(v1, v2) -> tuple[np.ndarray, np.ndarray]:
     """Lagrange-Gauss reduction of a rank-2 lattice basis in Z^k.
 
     Returns (a1, a2) generating the same lattice as (v1, v2), with
-    ||a1|| <= ||a2|| and ||a2 +- a1|| >= ||a2||.  Output signs and order are
-    normalized (first nonzero entry positive; shorter vector first, ties
-    lexicographic) so the function is deterministic.
+    ||a1|| <= ||a2|| and ||a2 +- a1|| >= ||a2||.  The output is canonical:
+    a1 is the smallest shortest vector and a2 the smallest shortest vector
+    independent of it, both by (squared norm, tuple) with the first nonzero
+    entry positive, so every basis of one lattice gives the same result.
     """
-    b1 = as_int_vector(v1)
-    b2 = as_int_vector(v2)
+    b1 = tuple(as_int_vector(v1))
+    b2 = tuple(as_int_vector(v2))
     if len(b1) != len(b2):
         raise ValueError("basis vectors must have equal length")
-    if not _independent(b1, b2):
+    if _pivot(list(zip(b1, b2))) is None:
         raise ValueError("basis vectors must be linearly independent")
-    if _dot(b1, b1) > _dot(b2, b2):
-        b1, b2 = b2, b1
-    while True:
-        num = _dot(b1, b2)
-        den = _dot(b1, b1)
-        mu = (2 * num + den) // (2 * den)  # nearest integer to num/den
-        if mu != 0:
-            b2 = b2 - mu * b1
-        if _dot(b2, b2) < _dot(b1, b1):
-            b1, b2 = b2, b1
-        else:
-            break
-    b1 = _sign_normalized(b1)
-    b2 = _sign_normalized(b2)
-    key1 = (_dot(b1, b1), tuple(b1))
-    key2 = (_dot(b2, b2), tuple(b2))
-    if key2 < key1:
-        b1, b2 = b2, b1
-    return b1, b2
+    return tuple(as_int_vector(v) for v in _lagrange_gauss(b1, b2))
 
 
 def solve2(B, y) -> tuple[Fraction, Fraction] | None:
@@ -351,37 +440,16 @@ def solve2(B, y) -> tuple[Fraction, Fraction] | None:
     is rank-deficient.
     """
     B = as_int_matrix(B)
-    y = as_int_vector(y)
-    n, w = B.shape
-    if w != 2:
+    y = tuple(as_int_vector(y))
+    if B.shape[1] != 2:
         raise ValueError("solve2 expects an n x 2 matrix")
-    if len(y) != n:
+    if len(y) != B.shape[0]:
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    i0 = next((i for i in range(n) if B[i, 0] != 0 or B[i, 1] != 0), None)
-    pair = None
-    if i0 is not None:
-        for j in range(n):
-            d = B[i0, 0] * B[j, 1] - B[i0, 1] * B[j, 0]
-            if d != 0:
-                pair = (i0, j, d)
-                break
-    if pair is None:
+    brows = [tuple(r) for r in B.tolist()]
+    piv = _pivot(brows)
+    if piv is None:
         raise ValueError("solve2 requires a rank-2 matrix")
-    i, j, d = pair
-    x0 = Fraction(y[i] * B[j, 1] - y[j] * B[i, 1], d)
-    x1 = Fraction(B[i, 0] * y[j] - B[j, 0] * y[i], d)
-    for k in range(n):
-        if B[k, 0] * x0 + B[k, 1] * x1 != y[k]:
-            return None
-    return (x0, x1)
-
-
-def solve2_int(B, y) -> Vec2 | None:
-    """Like :func:`solve2` but only accepts integer solutions."""
-    sol = solve2(B, y)
-    if sol is None:
+    num = _span_coords(brows, piv, y)
+    if num is None:
         return None
-    x0, x1 = sol
-    if x0.denominator != 1 or x1.denominator != 1:
-        return None
-    return (int(x0), int(x1))
+    return Fraction(num[0], piv[2]), Fraction(num[1], piv[2])

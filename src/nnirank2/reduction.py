@@ -13,22 +13,27 @@ a 3 x 3 matrix deciding the original instance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .diagram import cone_from_constraint_rows, extreme_rays
+from .diagram import _nonnegative, _plane_cone, cone_from_constraint_rows
 from .linalg import (
+    Pivot,
     Vec2,
+    _column_frame,
+    _hermite2,
+    _int_coords,
+    _lagrange_gauss,
+    _pivot,
+    _span_coords,
     as_int_matrix,
     as_int_vector,
+    cross2,
     ext_gcd,
     rank_exact,
-    smith_normal_form,
-    solve2,
-    reduce_basis_rank2,
 )
 
 
@@ -51,14 +56,6 @@ class ReductionTrace:
     three_by_three: np.ndarray | None
     stages: tuple[StageTrace, ...]
 
-    @property
-    def row_choices(self) -> tuple[int, int]:
-        return self.stages[0].row_choices
-
-    @property
-    def b3_construction(self) -> StageTrace:
-        return self.stages[0]
-
 
 @dataclass
 class EquivalenceReport:
@@ -74,35 +71,48 @@ class EquivalenceReport:
         return self.ok
 
 
+def _row_lattice(rows, B: list[Vec2], piv: Pivot) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reduced basis of the lattice the rows generate, from A's column frame.
+
+    Projection on the frame's columns maps the row space injectively and
+    the rows to B's rows, so the Hermite rows h of B lift to a lattice
+    basis: h P^-1 (row i; row k), with P the pivot block of B.
+    """
+    i, k, d = piv
+    (p00, p01), (p10, p11) = B[i], B[k]
+
+    def lift(h: Vec2) -> tuple[int, ...]:
+        l0, l1 = h[0] * p11 - h[1] * p10, h[1] * p00 - h[0] * p01
+        return tuple((l0 * x + l1 * y) // d for x, y in zip(rows[i], rows[k]))
+
+    h1, h2 = _hermite2(B)
+    return _lagrange_gauss(lift(h1), lift(h2))
+
+
 def row_lattice_basis(A) -> tuple[np.ndarray, np.ndarray]:
     """Reduced basis of the lattice generated by the rows of A.
 
     This is the lattice spanned by the rows themselves, not its saturation:
-    with A = S D T and S unimodular, the rows of A and of D T generate the
-    same lattice, and the nonzero rows of D T are d_1 t_1, d_2 t_2.
+    the Hermite form of the rows projected on two independent columns,
+    lifted back and reduced by :func:`~nnirank2.linalg.reduce_basis_rank2`'s
+    canonical rule.  Raises ValueError unless A has rank 2.
     """
-    A = as_int_matrix(A)
-    S, D, T = smith_normal_form(A)
-    r = sum(1 for i in range(min(A.shape)) if D[i, i] != 0)
-    if r != 2:
-        raise ValueError(f"matrix must have rank 2, got rank {r}")
-    a1 = D[0, 0] * T[0, :]
-    a2 = D[1, 1] * T[1, :]
-    return reduce_basis_rank2(a1, a2)
-
-
-def lattice_coords(basis: tuple[np.ndarray, np.ndarray], v) -> tuple[Fraction, Fraction] | None:
-    """Rational coordinates of v in the given rank-2 basis, or None."""
-    a1, a2 = basis
-    B = np.stack([a1, a2], axis=1)
-    return solve2(B, as_int_vector(v))
+    rows = as_int_matrix(A).tolist()
+    B, piv, _ = _column_frame(rows)
+    return tuple(as_int_vector(a) for a in _row_lattice(rows, B, piv))
 
 
 def integer_lattice_coords(basis, v) -> Vec2 | None:
-    sol = lattice_coords(basis, v)
-    if sol is None or sol[0].denominator != 1 or sol[1].denominator != 1:
-        return None
-    return (int(sol[0]), int(sol[1]))
+    """Integer coordinates of v in the rank-2 basis (a1, a2), or None."""
+    a1, a2 = (tuple(as_int_vector(a)) for a in basis)
+    v = tuple(as_int_vector(v))
+    if not len(a1) == len(a2) == len(v):
+        raise ValueError("dimension mismatch between basis and vector")
+    lattice = list(zip(a1, a2))
+    piv = _pivot(lattice)
+    if piv is None:
+        raise ValueError("basis vectors must be linearly independent")
+    return _int_coords(lattice, piv, v)
 
 
 def primitivize_in_lattice(v, basis) -> np.ndarray:
@@ -124,12 +134,7 @@ def primitivize_in_lattice(v, basis) -> np.ndarray:
 def _generation_certificate(coords: list[Vec2]) -> bool:
     # The vectors generate the full lattice iff the gcd of all 2x2
     # determinants of their coordinate pairs is 1.
-    g = 0
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            det = coords[i][0] * coords[j][1] - coords[i][1] * coords[j][0]
-            g = math.gcd(g, det)
-    return g == 1
+    return math.gcd(*(cross2(p, q) for p, q in itertools.combinations(coords, 2))) == 1
 
 
 def build_3xm(A) -> tuple[np.ndarray, StageTrace]:
@@ -140,56 +145,66 @@ def build_3xm(A) -> tuple[np.ndarray, StageTrace]:
     b1 to a lattice basis via a Bezout pair on b1's coordinates, is shifted
     by the smallest nonnegative multiples of b1, b2 that make it a
     nonnegative combination of them, and is primitivized afterwards when
-    that preserves lattice generation.
+    that preserves lattice generation.  All of this runs in coordinates of
+    the reduced row-lattice basis.
     """
-    A = as_int_matrix(A)
-    (_, i1), (_, i2) = extreme_rays(A)
-    basis = row_lattice_basis(A)
-    a1, a2 = basis
-    b1 = primitivize_in_lattice(A[i1, :], basis)
-    b2 = primitivize_in_lattice(A[i2, :], basis)
+    rows = _nonnegative(as_int_matrix(A)).tolist()
+    B, piv, _ = _column_frame(rows)
+    (_, i1), (_, i2) = _plane_cone(B)
+    a1, a2 = _row_lattice(rows, B, piv)
+    lattice = list(zip(a1, a2))
+    lattice_piv = _pivot(lattice)
 
-    p, q = integer_lattice_coords(basis, b1)
+    def primitive_coords(row: list[int]) -> Vec2:
+        c = _int_coords(lattice, lattice_piv, row)
+        if c is None:
+            raise RuntimeError("internal error: a row is outside the row lattice")
+        g = math.gcd(*c)
+        return (c[0] // g, c[1] // g)
+
+    c1 = p, q = primitive_coords(rows[i1])
+    c2 = primitive_coords(rows[i2])
     g, x, y = ext_gcd(p, q)
-    assert g == 1  # b1 is primitive in the lattice
+    if g != 1:
+        raise RuntimeError("internal error: b1 is not primitive in the row lattice")
     r_, s_ = x, -y  # r*p - s*q == 1
-    b3 = s_ * a1 + r_ * a2
+    c3 = (s_, r_)  # b3 = s*a1 + r*a2
 
-    alpha, beta = lattice_coords((b1, b2), b3)
-    m1 = math.ceil(max(0, -alpha))
-    m2 = math.ceil(max(0, -beta))
-    b3 = b3 + m1 * b1 + m2 * b2
-    if not (b3 != 0).any():
+    # smallest nonnegative multiples making b3 a nonnegative combination of
+    # b1, b2: m1 = ceil(max(0, -alpha)) with alpha = cross(c3, c2) / D
+    D = cross2(c1, c2)
+    m1 = max(0, -(cross2(c3, c2) // D))
+    m2 = max(0, -(cross2(c1, c3) // D))
+    c3 = (c3[0] + m1 * p + m2 * c2[0], c3[1] + m1 * q + m2 * c2[1])
+    if c3 == (0, 0):
         # the completion was an integer combination of b1, b2 and the shift
         # cancelled it exactly; b1, b2 then already generate the lattice and
         # any positive combination restores a valid third row
         m1, m2 = m1 + 1, m2 + 1
-        b3 = b1 + b2
-
-    c1 = integer_lattice_coords(basis, b1)
-    c2 = integer_lattice_coords(basis, b2)
-    c3 = integer_lattice_coords(basis, b3)
-    assert _generation_certificate([c1, c2, c3])
+        c3 = (p + c2[0], q + c2[1])
+    if not _generation_certificate([c1, c2, c3]):
+        raise RuntimeError("internal error: b1, b2, b3 do not generate the row lattice")
 
     primitivized = False
-    b3p = primitivize_in_lattice(b3, basis)
-    if not (b3p == b3).all():
-        c3p = integer_lattice_coords(basis, b3p)
+    g3 = math.gcd(*c3)
+    if g3 != 1:
+        c3p = (c3[0] // g3, c3[1] // g3)
         if _generation_certificate([c1, c2, c3p]):
-            b3 = b3p
+            c3 = c3p
             primitivized = True
 
-    B = np.stack([b1, b2, b3], axis=0)
-    assert (B >= 0).all()
+    out = [[u * s + v * t for s, t in lattice] for u, v in (c1, c2, c3)]
+    if any(e < 0 for row in out for e in row):
+        raise RuntimeError("internal error: the 3 x m matrix has a negative entry")
     trace = StageTrace(
-        row_choices=(int(i1), int(i2)),
-        basis=(tuple(int(t) for t in a1), tuple(int(t) for t in a2)),
+        row_choices=(i1, i2),
+        basis=(a1, a2),
         b1_coords=(p, q),
         bezout=(r_, s_),
         shift_multipliers=(m1, m2),
         primitivized=primitivized,
     )
-    return B, trace
+    return np.array(out, dtype=object), trace
 
 
 def reduce_to_3x3(A) -> tuple[np.ndarray, ReductionTrace]:
@@ -201,43 +216,23 @@ def reduce_to_3x3(A) -> tuple[np.ndarray, ReductionTrace]:
     A = as_int_matrix(A)
     B1, st1 = build_3xm(A)
     C, st2 = build_3xm(B1.T)
-    assert rank_exact(C) == 2
+    if rank_exact(C) != 2:
+        raise RuntimeError("internal error: reduced matrix does not have rank 2")
     trace = ReductionTrace(
         input=A, three_by_m=B1, three_by_three=C, stages=(st1, st2)
     )
     return C, trace
 
 
-def _plane_rays_of(P_rows: list[tuple[int, int]]) -> frozenset[Vec2] | None:
-    rays = cone_from_constraint_rows(P_rows)
-    if rays is None:
-        return None
-    return frozenset(rays)
-
-
-def _coords_as_int_rows(M: np.ndarray, basis) -> list[tuple[int, int]] | None:
-    """Rows of M in the given row basis, scaled to integer pairs."""
-    rows = []
-    for i in range(M.shape[0]):
-        sol = lattice_coords(basis, M[i, :])
-        if sol is None:
-            return None
-        den = sol[0].denominator * sol[1].denominator // math.gcd(
-            sol[0].denominator, sol[1].denominator
-        )
-        rows.append((int(sol[0] * den), int(sol[1] * den)))
-    return rows
-
-
 def validate_equivalence(A, B) -> EquivalenceReport:
     """Check the three equivalence conditions between A (n x m) and B (k x m).
 
-    (i)   equal row spaces: the stacked matrix still has rank 2;
-    (ii)  equal row lattices: each basis has integer coordinates in the
-          other with change-of-basis determinant +-1;
-    (iii) equal nonnegativity cones: writing A = P R and B = Q R over a
-          common row basis R, the planar cones {y : P y >= 0} and
-          {y : Q y >= 0} have the same extreme rays.
+    (i)   equal row spaces: every row of B lies in the span of A's rows;
+    (ii)  equal row lattices: projected on two columns where the row space
+          projects injectively, both row sets have the same Hermite form;
+    (iii) equal nonnegativity cones: in the same projection, the planar
+          cones {y : P y >= 0} and {y : Q y >= 0} cut out by the projected
+          rows of A and of B have the same extreme rays.
 
     Raises ValueError on unequal column counts or rank != 2 inputs.
     """
@@ -245,29 +240,22 @@ def validate_equivalence(A, B) -> EquivalenceReport:
     B = as_int_matrix(B)
     if A.shape[1] != B.shape[1]:
         raise ValueError("matrices must have the same column count")
-    if rank_exact(A) != 2 or rank_exact(B) != 2:
-        raise ValueError("both matrices must have rank 2")
+    rows_a, rows_b = A.tolist(), B.tolist()
+    _, (i, k, _), _ = _column_frame(rows_a)
+    _column_frame(rows_b)  # rank check
+    # rows i, k of A span its row space, which projects injectively on the
+    # columns j0, j1 of their pivot
+    span = list(zip(rows_a[i], rows_a[k]))
+    j0, j1, _ = piv = _pivot(span)
+    cond_row_space = all(_span_coords(span, piv, v) is not None for v in rows_b)
 
-    stacked = np.concatenate([A, B], axis=0)
-    cond_row_space = rank_exact(stacked) == 2
-
-    cond_lattice = False
-    cond_cone = False
+    cond_lattice = cond_cone = False
     if cond_row_space:
-        basis_a = row_lattice_basis(A)
-        basis_b = row_lattice_basis(B)
-        cb1 = integer_lattice_coords(basis_a, basis_b[0])
-        cb2 = integer_lattice_coords(basis_a, basis_b[1])
-        if cb1 is not None and cb2 is not None:
-            det = cb1[0] * cb2[1] - cb1[1] * cb2[0]
-            cond_lattice = abs(det) == 1
-
-        P = _coords_as_int_rows(A, basis_a)
-        Q = _coords_as_int_rows(B, basis_a)
-        if P is not None and Q is not None:
-            rays_p = _plane_rays_of(P)
-            rays_q = _plane_rays_of(Q)
-            cond_cone = rays_p is not None and rays_p == rays_q
+        P = [(v[j0], v[j1]) for v in rows_a]
+        Q = [(v[j0], v[j1]) for v in rows_b]
+        cond_lattice = _hermite2(P) == _hermite2(Q)
+        rays_p, rays_q = cone_from_constraint_rows(P), cone_from_constraint_rows(Q)
+        cond_cone = rays_p is not None and rays_q is not None and set(rays_p) == set(rays_q)
 
     return EquivalenceReport(
         row_space=cond_row_space, row_lattice=cond_lattice, cone=cond_cone

@@ -201,6 +201,24 @@ def _in_ambient(q: Vec2, c: Vec2) -> bool:
     return q[1] >= 0 and q[0] * c[1] - q[1] * c[0] >= 0
 
 
+def _candidate_pairs(dec: ConeDecomposition) -> Iterator[CandidatePair]:
+    """The pairs :func:`search` checks, in its order."""
+    u_pt, v_pt = dec.u_point, dec.v_point
+    for ka in iter_triangle_points(dec):
+        a = primitive_point(ka)
+        if ka != u_pt:
+            yield CandidatePair(a, primitive_point((u_pt[0] - ka[0], u_pt[1] - ka[1])))
+            continue
+        k2, q = 0, v_pt
+        while _in_ambient(q, dec.c):
+            yield CandidatePair(a, primitive_point(q))
+            k2 += 1
+            q = (v_pt[0] - k2 * a[0], v_pt[1] - k2 * a[1])
+        # the sweep leaves the cone after at most max(v_point) + 1 steps
+        if k2 > 1 + max(v_pt):
+            raise RuntimeError("internal error: the b sweep overran its bound")
+
+
 def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutcome:
     """Run the bounded generator search on a canonical diagram.
 
@@ -211,44 +229,15 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     The first pair generating every point wins; the outcome is fully
     deterministic.
     """
-    dec = decompose(cd)
-    pts = cd.points
-    u_pt = dec.u_point
-    v_pt = dec.v_point
     rejections: list[PairRejection] | None = [] if collect_rejections else None
     pairs = 0
-
-    def note(rej: PairRejection) -> None:
+    for pair in _candidate_pairs(decompose(cd)):
+        pairs += 1
+        W, rej = check_pair(pair, cd.points)
+        if W is not None:
+            return SolveOutcome(RANK2, assemble(cd, pair, W), pairs, rejections=rejections)
         if rejections is not None:
             rejections.append(rej)
-
-    for ka in iter_triangle_points(dec):
-        a = primitive_point(ka)
-        rem = (u_pt[0] - ka[0], u_pt[1] - ka[1])
-        if rem != (0, 0):
-            pair = CandidatePair(a, primitive_point(rem))
-            pairs += 1
-            W, rej = check_pair(pair, pts)
-            if W is not None:
-                cert = assemble(cd, pair, W)
-                return SolveOutcome(RANK2, cert, pairs, rejections=rejections)
-            note(rej)
-        else:
-            k2 = 0
-            while True:
-                q = (v_pt[0] - k2 * a[0], v_pt[1] - k2 * a[1])
-                if not _in_ambient(q, dec.c):
-                    break
-                pair = CandidatePair(a, primitive_point(q))
-                pairs += 1
-                W, rej = check_pair(pair, pts)
-                if W is not None:
-                    cert = assemble(cd, pair, W)
-                    return SolveOutcome(RANK2, cert, pairs, rejections=rejections)
-                note(rej)
-                k2 += 1
-            # the sweep leaves the cone after at most max(v_point) + 1 steps
-            assert k2 <= 1 + max(v_pt)
     return SolveOutcome(NOT_RANK2, None, pairs, rejections=rejections)
 
 
@@ -274,10 +263,8 @@ def assemble(
         F2[0, i] = w0
         F2[1, i] = w1
         p = cd.points[i]
-        assert (
-            pair.a[0] * w0 + pair.b[0] * w1 == p[0]
-            and pair.a[1] * w0 + pair.b[1] * w1 == p[1]
-        )
+        if (pair.a[0] * w0 + pair.b[0] * w1, pair.a[1] * w0 + pair.b[1] * w1) != p:
+            raise RuntimeError(f"internal error: coefficients do not rebuild point {i}")
     return Rank2Certificate(F1=F1, F2=F2, pair=pair, W=list(W))
 
 
