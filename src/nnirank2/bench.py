@@ -136,6 +136,8 @@ def _single(t, largest, dt, is_r2) -> BenchRecord:
 
 
 def _aggregate(n, m, sigma_or_t, results) -> BenchRecord:
+    if not results:
+        raise ValueError("count must be at least 1")
     larges = [r[0] for r in results]
     times = [r[1] for r in results]
     return BenchRecord(

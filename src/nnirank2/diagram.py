@@ -17,6 +17,7 @@ import numpy as np
 from .linalg import (
     Vec2,
     _column_frame,
+    _extremes,
     _hermite2,
     _int_coords,
     _pivot,
@@ -118,25 +119,24 @@ def point_coordinates(A, basis) -> list[Vec2]:
 def cone_from_constraint_rows(rows) -> tuple[Vec2, Vec2] | None:
     """Extreme rays of {p in R^2 : r . p >= 0 for every row r}.
 
-    Zero rows are ignored.  Returns the two primitive ray directions, or
-    None when the constraint set does not cut out a pointed two-dimensional
-    cone (so it has no well-defined ray pair).
+    Zero rows are ignored.  The rays are the normals of the angularly
+    lowest and highest rows, each turned toward the other row.  Returns
+    them as primitive directions, or None unless both satisfy every row
+    and differ: exactly when the rows cut out a pointed two-dimensional
+    cone, or are all parallel (the rays are then the two directions of
+    their normal line).
     """
     rs = [(int(r[0]), int(r[1])) for r in rows]
     rs = [r for r in rs if r != (0, 0)]
     if not rs:
         return None
-    found: list[Vec2] = []
-    for a, b in rs:
-        for d in ((b, -a), (-b, a)):
-            dp = primitive_point(d)
-            if dp in found:
-                continue
-            if all(r0 * dp[0] + r1 * dp[1] >= 0 for r0, r1 in rs):
-                found.append(dp)
-    if len(found) != 2:
+    (l0, l1), (h0, h1) = _extremes(rs)
+    d1, d2 = primitive_point((-l1, l0)), primitive_point((h1, -h0))
+    if d1 == d2 or not all(
+        r0 * d1[0] + r1 * d1[1] >= 0 and r0 * d2[0] + r1 * d2[1] >= 0 for r0, r1 in rs
+    ):
         return None
-    return (found[0], found[1])
+    return d1, d2
 
 
 def _plane_cone(brows: list[Vec2]) -> tuple[tuple[Vec2, int], tuple[Vec2, int]]:

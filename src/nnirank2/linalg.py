@@ -132,6 +132,20 @@ def cross2(p: Vec2, q: Vec2) -> int:
     return p[0] * q[1] - p[1] * q[0]
 
 
+def _extremes(vectors: Sequence[Vec2]) -> tuple[Vec2, Vec2]:
+    """Angularly lowest and highest of nonzero plane vectors that lie in an
+    open half-plane.  Scanned by (squared norm, vector), only strictly lower
+    or higher vectors replace an extreme, so parallel ties go to the smaller."""
+    vs = sorted(vectors, key=lambda p: (p[0] * p[0] + p[1] * p[1], p))
+    lo = hi = vs[0]
+    for p in vs[1:]:
+        if cross2(p, lo) > 0:
+            lo = p
+        elif cross2(p, hi) < 0:
+            hi = p
+    return lo, hi
+
+
 def _bareiss(M: list[list[int]]) -> tuple[int, int]:
     """Fraction-free (Bareiss) elimination of M in place: (rank, signed last pivot).
 

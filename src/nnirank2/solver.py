@@ -11,16 +11,16 @@ gives a finite, complete search.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
-from .diagram import CanonicalDiagram, Diagram, build_diagram, canonicalize
+from .diagram import CanonicalDiagram, Diagram, build_diagram, canonicalize, in_cone
 from .linalg import (
     Vec2,
+    _extremes,
     as_int_matrix,
     primitive,
     primitive_point,
@@ -89,21 +89,7 @@ def decompose(cd: CanonicalDiagram) -> ConeDecomposition:
     pts = [p for p in cd.points if p != (0, 0)]
     if not pts:
         raise ValueError("no nonzero points: matrix has rank 0")
-
-    def better_tie(p: Vec2, q: Vec2) -> bool:
-        np2 = p[0] * p[0] + p[1] * p[1]
-        nq2 = q[0] * q[0] + q[1] * q[1]
-        return (np2, p) < (nq2, q)
-
-    u_pt = v_pt = pts[0]
-    for p in pts[1:]:
-        cu = p[0] * u_pt[1] - p[1] * u_pt[0]
-        if cu > 0 or (cu == 0 and better_tie(p, u_pt)):
-            u_pt = p
-        cv = p[0] * v_pt[1] - p[1] * v_pt[0]
-        if cv < 0 or (cv == 0 and better_tie(p, v_pt)):
-            v_pt = p
-
+    u_pt, v_pt = _extremes(pts)
     u = primitive_point(u_pt)
     v = primitive_point(v_pt)
     if u[0] * v[1] - u[1] * v[0] == 0:
@@ -121,9 +107,9 @@ def iter_triangle_points(dec: ConeDecomposition) -> Iterator[Vec2]:
         cross((1,0), p) >= 0        cross(p, u_point)       >= 0
         cross(v, u_point - p) >= 0  cross(u_point - p, c)   >= 0
 
-    Columns of constant x are scanned between the exact rational vertex
-    abscissae, with the per-column y-range from the same inequalities; no
-    floating point is involved.
+    Columns of constant x are scanned between the vertex abscissae, rounded
+    inward by integer division, with the per-column y-range from the same
+    inequalities; no floating point is involved.
     """
     ux, uy = dec.u_point
     vx, vy = dec.v
@@ -131,32 +117,22 @@ def iter_triangle_points(dec: ConeDecomposition) -> Iterator[Vec2]:
     # vertices: u_point and the two x-axis hits of the rays u - t*v, u - t*c
     cross_uv = ux * vy - uy * vx
     cross_uc = ux * cy - uy * cx
-    xs = [Fraction(ux), Fraction(cross_uv, vy), Fraction(cross_uc, cy)]
-    x_lo = max(0, math.ceil(min(xs)))
-    x_hi = math.floor(max(xs))
-    # constraints as alpha*x + beta*y + delta >= 0
+    x_lo = max(0, min(ux, -(-cross_uv // vy), -(-cross_uc // cy)))
+    x_hi = max(ux, cross_uv // vy, cross_uc // cy)
+    # the last two conditions as alpha*x + beta*y + delta >= 0; where
+    # beta == 0 they hold on all of [x_lo, x_hi]
     constraints = (
-        (0, 1, 0),
-        (uy, -ux, 0),
         (vy, -vx, vx * uy - vy * ux),
         (-cy, cx, cross_uc),
     )
     for x in range(x_lo, x_hi + 1):
-        lo, hi = 0, None
-        feasible = True
+        lo, hi = 0, uy * x // ux  # the first two conditions; ux > 0
         for al, be, de in constraints:
             s = al * x + de
-            if be == 0:
-                if s < 0:
-                    feasible = False
-                    break
-            elif be > 0:
+            if be > 0:
                 lo = max(lo, -(s // be))
-            else:
-                bound = s // (-be)
-                hi = bound if hi is None else min(hi, bound)
-        if not feasible or hi is None:
-            continue
+            elif be < 0:
+                hi = min(hi, s // -be)
         for y in range(lo, hi + 1):
             if x == 0 and y == 0:
                 continue
@@ -168,6 +144,24 @@ def triangle_points(dec: ConeDecomposition) -> list[Vec2]:
     return list(iter_triangle_points(dec))
 
 
+def _coefficients(a: Vec2, b: Vec2, points) -> list[Vec2] | int:
+    """:func:`check_pair` on int tuples: the coefficient list, or the index
+    of the first point whose coefficients are not nonnegative integers."""
+    ax, ay = a
+    bx, by = b
+    D = ax * by - ay * bx
+    if D == 0:
+        raise ValueError("candidate pair must not be parallel")
+    W: list[Vec2] = []
+    for i, (px, py) in enumerate(points):
+        q1, r1 = divmod(px * by - py * bx, D)
+        q2, r2 = divmod(ax * py - ay * px, D)
+        if r1 != 0 or r2 != 0 or q1 < 0 or q2 < 0:
+            return i
+        W.append((q1, q2))
+    return W
+
+
 def check_pair(
     pair: CandidatePair, points
 ) -> tuple[list[Vec2] | None, PairRejection | None]:
@@ -177,41 +171,28 @@ def check_pair(
     D = cross(a, b).  Succeeds when every w is a pair of nonnegative
     integers, returning the coefficient list; otherwise returns the
     rejection carrying the first offending index and its exact rational
-    coefficients.
+    coefficients.  Raises ValueError when a and b are parallel.
     """
-    ax, ay = pair.a
-    bx, by = pair.b
+    W = _coefficients(pair.a, pair.b, points)
+    if not isinstance(W, int):
+        return W, None
+    (ax, ay), (bx, by), (px, py) = pair.a, pair.b, points[W]
     D = ax * by - ay * bx
-    if D == 0:
-        raise ValueError("candidate pair must not be parallel")
-    W: list[Vec2] = []
-    for i, (px, py) in enumerate(points):
-        n1 = px * by - py * bx
-        n2 = ax * py - ay * px
-        q1, r1 = divmod(n1, D)
-        q2, r2 = divmod(n2, D)
-        if r1 != 0 or r2 != 0 or q1 < 0 or q2 < 0:
-            return None, PairRejection(pair, i, (Fraction(n1, D), Fraction(n2, D)))
-        W.append((q1, q2))
-    return W, None
+    coeffs = (Fraction(px * by - py * bx, D), Fraction(ax * py - ay * px, D))
+    return None, PairRejection(pair, W, coeffs)
 
 
-def _in_ambient(q: Vec2, c: Vec2) -> bool:
-    # membership in cone((1,0), c) for canonical coordinates
-    return q[1] >= 0 and q[0] * c[1] - q[1] * c[0] >= 0
-
-
-def _candidate_pairs(dec: ConeDecomposition) -> Iterator[CandidatePair]:
-    """The pairs :func:`search` checks, in its order."""
+def _candidate_pairs(dec: ConeDecomposition) -> Iterator[tuple[Vec2, Vec2]]:
+    """The pairs (a, b) :func:`search` checks, in its order."""
     u_pt, v_pt = dec.u_point, dec.v_point
     for ka in iter_triangle_points(dec):
         a = primitive_point(ka)
         if ka != u_pt:
-            yield CandidatePair(a, primitive_point((u_pt[0] - ka[0], u_pt[1] - ka[1])))
+            yield a, primitive_point((u_pt[0] - ka[0], u_pt[1] - ka[1]))
             continue
         k2, q = 0, v_pt
-        while _in_ambient(q, dec.c):
-            yield CandidatePair(a, primitive_point(q))
+        while in_cone(q, (1, 0), dec.c):
+            yield a, primitive_point(q)
             k2 += 1
             q = (v_pt[0] - k2 * a[0], v_pt[1] - k2 * a[1])
         # the sweep leaves the cone after at most max(v_point) + 1 steps
@@ -231,13 +212,14 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     """
     rejections: list[PairRejection] | None = [] if collect_rejections else None
     pairs = 0
-    for pair in _candidate_pairs(decompose(cd)):
+    for a, b in _candidate_pairs(decompose(cd)):
         pairs += 1
-        W, rej = check_pair(pair, cd.points)
-        if W is not None:
-            return SolveOutcome(RANK2, assemble(cd, pair, W), pairs, rejections=rejections)
+        W = _coefficients(a, b, cd.points)
+        if not isinstance(W, int):
+            cert = assemble(cd, CandidatePair(a, b), W)
+            return SolveOutcome(RANK2, cert, pairs, rejections=rejections)
         if rejections is not None:
-            rejections.append(rej)
+            rejections.append(check_pair(CandidatePair(a, b), cd.points)[1])
     return SolveOutcome(NOT_RANK2, None, pairs, rejections=rejections)
 
 

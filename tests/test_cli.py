@@ -236,6 +236,15 @@ def test_bench_table2_csv(capsys):
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize("suite, count", [("table1", "0"), ("table1", "-3"), ("table2", "0")])
+def test_bench_count_below_one_exit2(suite, count, capsys):
+    rc = main(["bench", "--suite", suite, "--count", count, "--n", "10", "--sigma", "3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "count must be at least 1" in captured.err
+
+
 def test_bench_bt_csv(capsys):
     rc = main(["bench", "--suite", "bt", "--tmax", "4"])
     out = capsys.readouterr().out

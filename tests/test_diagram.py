@@ -8,12 +8,13 @@ from nnirank2.diagram import (
     build_diagram,
     canonicalize,
     column_lattice_basis,
+    cone_from_constraint_rows,
     extreme_rays,
     in_cone,
     point_coordinates,
 )
 from nnirank2.instances import gen_bt, gen_product
-from nnirank2.linalg import as_int_matrix, det_exact, matrices_equal
+from nnirank2.linalg import as_int_matrix, det_exact, matrices_equal, primitive_point
 
 PAPER_BASIS = [[0, 1], [1, 0], [3, -1]]
 
@@ -214,3 +215,63 @@ def test_saturation_invariant_random():
     for _ in range(150):
         _, d = _random_diagram(rng)
         assert minor_gcd(d.basis) == 1
+
+
+def brute_force_cone(rows):
+    """Reference: try both normals of every row against every row."""
+    rs = [(int(r[0]), int(r[1])) for r in rows]
+    rs = [r for r in rs if r != (0, 0)]
+    if not rs:
+        return None
+    found = []
+    for a, b in rs:
+        for d in ((b, -a), (-b, a)):
+            dp = primitive_point(d)
+            if dp in found:
+                continue
+            if all(r0 * dp[0] + r1 * dp[1] >= 0 for r0, r1 in rs):
+                found.append(dp)
+    if len(found) != 2:
+        return None
+    return (found[0], found[1])
+
+
+def assert_same_cone(rows):
+    got, ref = cone_from_constraint_rows(rows), brute_force_cone(rows)
+    assert (got is None) == (ref is None), rows
+    assert got is None or set(got) == set(ref), rows
+
+
+def test_cone_matches_brute_force_on_random_rows():
+    rng = random.Random(8)
+    pointed = 0
+    for _ in range(3000):
+        rows = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 8))]
+        assert_same_cone(rows)
+        pointed += cone_from_constraint_rows(rows) is not None
+    assert 500 < pointed < 2500  # both outcomes are well represented
+
+
+def test_cone_matches_brute_force_on_degenerate_rows():
+    rng = random.Random(9)
+    families = {
+        "parallel": lambda r, k: [(k * r[0], k * r[1]) for k in range(1, 4)],
+        "with its negative": lambda r, k: [r, (-r[0], -r[1])] + [(k * r[0], k * r[1])],
+        "zero rows only": lambda r, k: [(0, 0)] * k,
+        "half-plane": lambda r, k: [r, (-r[0], -r[1]), (-r[1], r[0]), (-k * r[1], r[0])],
+        "whole plane": lambda r, k: [r, (-r[1], r[0]), (-r[0], -r[1]), (r[1], -k * r[0])],
+    }
+    for name, family in families.items():
+        for _ in range(200):
+            r = (0, 0)
+            while r == (0, 0):
+                r = (rng.randint(-4, 4), rng.randint(-4, 4))
+            rows = family(r, rng.randint(1, 3)) + [(0, 0)] * rng.randint(0, 1)
+            rng.shuffle(rows)
+            assert_same_cone(rows)
+            got = cone_from_constraint_rows(rows)
+            if name in ("parallel", "with its negative"):
+                g = gcd(*r)
+                assert set(got) == {(r[1] // g, -r[0] // g), (-r[1] // g, r[0] // g)}
+            else:
+                assert got is None, (name, rows)

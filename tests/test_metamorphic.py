@@ -1,0 +1,61 @@
+"""Metamorphic properties of solve on a standing seeded corpus.
+
+Transposing, permuting rows or columns, appending a zero column and
+duplicating a column all keep the nonnegative integer rank, so they must
+keep solve's verdict; every rank2 certificate must reproduce its matrix.
+"""
+
+import random
+from collections import Counter
+
+from nnirank2 import (
+    NOT_RANK2,
+    RANK2,
+    gen_bt,
+    gen_near_t,
+    gen_product,
+    solve,
+    verify_factorization,
+)
+
+SIZES = (2, 3, 4, 6)
+
+
+def corpus():
+    """300 products (n, m in {2, 3, 4, 6}), bt(1..30) and 20 near_t."""
+    for i in range(300):
+        n, m = SIZES[i % 4], SIZES[(i // 4) % 4]
+        yield gen_product(n, m, (3, 6, 10)[(i // 16) % 3], seed=[2620, i])[2].tolist()
+    for t in range(1, 31):
+        yield gen_bt(t).tolist()
+    for i in range(20):
+        yield gen_near_t(3 + (11 * i) % 60, seed=[2621, i]).tolist()
+
+
+def variants(A, rng):
+    """(name, matrix) pairs with the nonnegative integer rank of A."""
+    n, m = len(A), len(A[0])
+    rows, cols, j = rng.sample(range(n), n), rng.sample(range(m), m), rng.randrange(m)
+    yield "transpose", [list(col) for col in zip(*A)]
+    yield "row permutation", [A[i] for i in rows]
+    yield "column permutation", [[row[k] for k in cols] for row in A]
+    yield "zero column", [row + [0] for row in A]
+    yield "duplicate column", [row + [row[j]] for row in A]
+
+
+def checked_verdict(A) -> str:
+    out = solve(A)
+    if out.verdict == RANK2:
+        assert verify_factorization(A, out.certificate.F1, out.certificate.F2), A
+    return out.verdict
+
+
+def test_verdict_is_invariant_and_certificates_verify():
+    rng = random.Random(2622)
+    verdicts = Counter()
+    for A in corpus():
+        verdict = checked_verdict(A)
+        verdicts[verdict] += 1
+        for name, B in variants(A, rng):
+            assert checked_verdict(B) == verdict, (name, A)
+    assert verdicts[RANK2] >= 200 and verdicts[NOT_RANK2] >= 60

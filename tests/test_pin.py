@@ -1,4 +1,5 @@
 """Behaviour pin: a digest of solve's full output over a seeded corpus, the
+default solve (no rejection records, no Fractions) against it, the
 reduction's equivalence on the same corpus, and the same pipeline under
 ``python -O`` (invariants are explicit checks, not asserts)."""
 
@@ -7,6 +8,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import nnirank2
@@ -62,6 +64,42 @@ def test_solve_digest_is_pinned():
         h.update(pin_record(A).encode())
         h.update(b"\n")
     assert h.hexdigest() == PIN_DIGEST
+
+
+def factors(out):
+    cert = out.certificate
+    return None if cert is None else (ints(cert.F1), ints(cert.F2))
+
+
+def test_default_solve_matches_the_collecting_run():
+    for A in pin_corpus():
+        out, ref = solve(A), solve(A, collect_rejections=True)
+        assert out.rejections is None
+        assert (out.verdict, out.pairs_examined) == (ref.verdict, ref.pairs_examined)
+        assert factors(out) == factors(ref)
+
+
+def fractions_built(fn, *args, **kwargs) -> int:
+    """Number of Fraction constructions while fn runs."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code is Fraction.__new__.__code__
+
+    sys.setprofile(profile)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_default_solve_builds_no_fraction():
+    A = gen_bt(50)
+    assert fractions_built(solve, A) == 0
+    # the count sees the rejection records' coefficients
+    assert fractions_built(solve, A, collect_rejections=True) > 0
 
 
 def test_reductions_of_the_pin_corpus_are_equivalent():
