@@ -176,6 +176,11 @@ def run_table2(count: int = 100, seed: int = 0, ns=None, sigmas=None) -> list[Be
         for (n, s) in TABLE2_CELLS
         if (not ns or n in set(ns)) and (not sigmas or s in set(sigmas))
     ]
+    if not cells:
+        valid = ", ".join(f"({n}, {s})" for n, s in TABLE2_CELLS)
+        raise ValueError(
+            f"no table2 cell matches the filter; the (n, sigma) cells are {valid}"
+        )
     records = []
     for ci, (n, sigma) in enumerate(cells):
         cell_count = min(count, 3) if n >= 300 else count

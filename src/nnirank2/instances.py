@@ -92,6 +92,8 @@ def gen_product(
     """
     if rows < 2 or cols < 2:
         raise ValueError("product instances need rows >= 2 and cols >= 2")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError("sigma must be positive")
     if rng is None:
         rng = np.random.default_rng(seed)
     while True:

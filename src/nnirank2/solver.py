@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator
 
 import numpy as np
@@ -21,6 +22,7 @@ from .diagram import CanonicalDiagram, Diagram, build_diagram, canonicalize, in_
 from .linalg import (
     Vec2,
     _extremes,
+    _hermite2,
     as_int_matrix,
     primitive,
     primitive_point,
@@ -99,17 +101,19 @@ def decompose(cd: CanonicalDiagram) -> ConeDecomposition:
     )
 
 
-def iter_triangle_points(dec: ConeDecomposition) -> Iterator[Vec2]:
-    """Lattice points of the triangle K₋ ∩ (u_point − K₊), lexicographic.
+def _triangle_columns(dec: ConeDecomposition) -> Iterator[tuple[int, int, int]]:
+    """Columns (x, lo, hi) of the triangle K₋ ∩ (u_point − K₊), by x.
 
-    The four half-plane conditions (boundary included, origin excluded):
+    The triangle's lattice points are the (x, y) with lo <= y <= hi (an
+    empty range when lo > hi).  The four half-plane conditions (boundary
+    included, origin excluded):
 
         cross((1,0), p) >= 0        cross(p, u_point)       >= 0
         cross(v, u_point - p) >= 0  cross(u_point - p, c)   >= 0
 
-    Columns of constant x are scanned between the vertex abscissae, rounded
-    inward by integer division, with the per-column y-range from the same
-    inequalities; no floating point is involved.
+    x runs between the vertex abscissae, rounded inward by integer
+    division, from 1: the column x = 0 holds only the origin.  The y-range
+    comes from the same inequalities; no floating point is involved.
     """
     ux, uy = dec.u_point
     vx, vy = dec.v
@@ -117,7 +121,7 @@ def iter_triangle_points(dec: ConeDecomposition) -> Iterator[Vec2]:
     # vertices: u_point and the two x-axis hits of the rays u - t*v, u - t*c
     cross_uv = ux * vy - uy * vx
     cross_uc = ux * cy - uy * cx
-    x_lo = max(0, min(ux, -(-cross_uv // vy), -(-cross_uc // cy)))
+    x_lo = max(1, min(ux, -(-cross_uv // vy), -(-cross_uc // cy)))
     x_hi = max(ux, cross_uv // vy, cross_uc // cy)
     # the last two conditions as alpha*x + beta*y + delta >= 0; where
     # beta == 0 they hold on all of [x_lo, x_hi]
@@ -133,9 +137,14 @@ def iter_triangle_points(dec: ConeDecomposition) -> Iterator[Vec2]:
                 lo = max(lo, -(s // be))
             elif be < 0:
                 hi = min(hi, s // -be)
+        yield x, lo, hi
+
+
+def iter_triangle_points(dec: ConeDecomposition) -> Iterator[Vec2]:
+    """Lattice points of the triangle K₋ ∩ (u_point − K₊), lexicographic;
+    see :func:`_triangle_columns`."""
+    for x, lo, hi in _triangle_columns(dec):
         for y in range(lo, hi + 1):
-            if x == 0 and y == 0:
-                continue
             yield (x, y)
 
 
@@ -176,28 +185,15 @@ def check_pair(
     W = _coefficients(pair.a, pair.b, points)
     if not isinstance(W, int):
         return W, None
-    (ax, ay), (bx, by), (px, py) = pair.a, pair.b, points[W]
+    return None, _rejection(pair, points, W)
+
+
+def _rejection(pair: CandidatePair, points, i: int) -> PairRejection:
+    """The record of a pair failing at point i, with its exact coefficients."""
+    (ax, ay), (bx, by), (px, py) = pair.a, pair.b, points[i]
     D = ax * by - ay * bx
     coeffs = (Fraction(px * by - py * bx, D), Fraction(ax * py - ay * px, D))
-    return None, PairRejection(pair, W, coeffs)
-
-
-def _candidate_pairs(dec: ConeDecomposition) -> Iterator[tuple[Vec2, Vec2]]:
-    """The pairs (a, b) :func:`search` checks, in its order."""
-    u_pt, v_pt = dec.u_point, dec.v_point
-    for ka in iter_triangle_points(dec):
-        a = primitive_point(ka)
-        if ka != u_pt:
-            yield a, primitive_point((u_pt[0] - ka[0], u_pt[1] - ka[1]))
-            continue
-        k2, q = 0, v_pt
-        while in_cone(q, (1, 0), dec.c):
-            yield a, primitive_point(q)
-            k2 += 1
-            q = (v_pt[0] - k2 * a[0], v_pt[1] - k2 * a[1])
-        # the sweep leaves the cone after at most max(v_point) + 1 steps
-        if k2 > 1 + max(v_pt):
-            raise RuntimeError("internal error: the b sweep overran its bound")
+    return PairRejection(pair, i, coeffs)
 
 
 def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutcome:
@@ -209,17 +205,74 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     v_point - k'*a for k' = 0, 1, ... while they stay in the ambient cone.
     The first pair generating every point wins; the outcome is fully
     deterministic.
+
+    Each pair first meets an O(1) divisibility test.  Let G be the index in
+    Z² of the lattice L_P the points generate.  If (a, b) generates every
+    point then L_P ⊆ L(a, b), and the index |cross(a, b)| of L(a, b)
+    divides G.  A pair failing that cannot win, so it is rejected without
+    the full check over every point; it still counts in ``pairs_examined``.
+    Under ``collect_rejections`` every pair gets the full check, so each
+    rejection is recorded with its first failing point and coefficients.
     """
+    dec = decompose(cd)
+    points = cd.points
+    (h1, _), (_, h2) = _hermite2(points)
+    G = h1 * h2  # the point lattice's index: det of its Hermite basis
     rejections: list[PairRejection] | None = [] if collect_rejections else None
-    pairs = 0
-    for a, b in _candidate_pairs(decompose(cd)):
-        pairs += 1
-        W = _coefficients(a, b, cd.points)
+    prune = rejections is None
+
+    def full_check(a: Vec2, b: Vec2, pairs: int) -> SolveOutcome | None:
+        W = _coefficients(a, b, points)
         if not isinstance(W, int):
             cert = assemble(cd, CandidatePair(a, b), W)
             return SolveOutcome(RANK2, cert, pairs, rejections=rejections)
         if rejections is not None:
-            rejections.append(check_pair(CandidatePair(a, b), cd.points)[1])
+            rejections.append(_rejection(CandidatePair(a, b), points, W))
+        return None
+
+    ux, uy = dec.u_point
+    pairs = 0
+    for x, lo, hi in _triangle_columns(dec):
+        at_u = x == ux
+        if at_u:
+            # u_point tops its column; its pairs come from the sweep below
+            if hi != uy:
+                raise RuntimeError("internal error: u_point is not its column's top")
+            hi -= 1
+        dx = ux - x
+        for y in range(lo, hi + 1):
+            # a = k*a / g1 and b = (u_point - k*a) / g2, so
+            # cross(a, b) = cross(k*a, u_point) / (g1*g2) > 0
+            g1 = gcd(x, y)
+            dy = uy - y
+            g2 = gcd(dx, dy)
+            if prune and G % ((x * uy - y * ux) // (g1 * g2)):
+                continue
+            out = full_check(
+                (x // g1, y // g1), (dx // g2, dy // g2), pairs + y - lo + 1
+            )
+            if out is not None:
+                return out
+        pairs += max(0, hi - lo + 1)
+        if not at_u:
+            continue
+        a = dec.u
+        vx, vy = dec.v_point
+        # cross(a, q) = cross(a, v_point) for every q = v_point - k2*a
+        cross_aq = a[0] * vy - a[1] * vx
+        k2, qx, qy = 0, vx, vy
+        while in_cone((qx, qy), (1, 0), dec.c):
+            pairs += 1
+            g = gcd(qx, qy)
+            if not (prune and G % (cross_aq // g)):
+                out = full_check(a, (qx // g, qy // g), pairs)
+                if out is not None:
+                    return out
+            k2 += 1
+            qx, qy = vx - k2 * a[0], vy - k2 * a[1]
+        # the sweep leaves the cone after at most max(v_point) + 1 steps
+        if k2 > 1 + max(vx, vy):
+            raise RuntimeError("internal error: the b sweep overran its bound")
     return SolveOutcome(NOT_RANK2, None, pairs, rejections=rejections)
 
 

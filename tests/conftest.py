@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import nnirank2
 from nnirank2.linalg import as_int_matrix, solve2
 
 # 3x3 matrix of rank 2 whose nonnegative integer rank is 3
@@ -32,6 +38,15 @@ def same_lattice(basis_a, basis_b) -> bool:
         coords.append((int(sol[0]), int(sol[1])))
     det = coords[0][0] * coords[1][1] - coords[0][1] * coords[1][0]
     return abs(det) == 1
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a child interpreter that imports this nnirank2, under a timeout,
+    so a call that never returns fails the test instead of hanging it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(nnirank2.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
+    )
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import BEASLEY, M55
+from conftest import BEASLEY, M55, run_python
 from nnirank2.cli import main
 from nnirank2.matrixio import format_matrix, load_matrix, parse_matrix, write_matrix
 from nnirank2.linalg import as_int_matrix
@@ -243,6 +243,28 @@ def test_bench_count_below_one_exit2(suite, count, capsys):
     assert rc == 2
     assert captured.out == ""
     assert "count must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("sigma", ["0", "-3"])
+def test_bench_sigma_not_positive_exit2(sigma):
+    # sigma = 0 used to hang the sampler, so run the CLI in a child process
+    argv = ["bench", "--suite", "table1", "--n", "3", "--count", "2", "--sigma", sigma]
+    proc = run_python("-m", "nnirank2.cli", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "sigma must be positive" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args", [["--n", "7"], ["--sigma", "4"], ["--n", "300", "--sigma", "6"]]
+)
+def test_bench_table2_filter_matching_no_cell_exit2(args, capsys):
+    rc = main(["bench", "--suite", "table2", "--count", "1", *args])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "no table2 cell matches" in captured.err
+    assert "(10, 3), (10, 6), (10, 10), (10, 25), (300, 3)" in captured.err
 
 
 def test_bench_bt_csv(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import run_python
 from nnirank2.instances import (
     GenSpec,
     dgauss2,
@@ -56,6 +57,20 @@ def test_gen_product_properties():
 def test_gen_product_validation():
     with pytest.raises(ValueError):
         gen_product(1, 3, 3.0)
+
+
+def test_gen_product_rejects_sigma_not_positive():
+    # sigma = 0 made the sampler's CDF NaN and gen_product loop forever
+    proc = run_python(
+        "-c",
+        "from nnirank2.instances import gen_product\n"
+        "for s in (0, 0.0, -3.0, float('nan'), float('inf')):\n"
+        "    try:\n"
+        "        gen_product(3, 3, s, seed=0)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    assert proc.stdout.splitlines() == ["sigma must be positive"] * 5
 
 
 def test_gen_bt():

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import SUBMATRIX_4COL
 from nnirank2.diagram import Diagram, build_diagram, canonicalize
-from nnirank2.instances import gen_bt, gen_product
+from nnirank2 import solver
+from nnirank2.instances import gen_bt, gen_near_t, gen_product
 from nnirank2.linalg import as_int_matrix, cross2, primitive_point
 from nnirank2.oracle import brute_force
 from nnirank2.solver import (
@@ -336,3 +337,50 @@ def test_solve_diagram_mode_unimodular_invariance():
         )
         assert solve_diagram(twisted).verdict == base
         assert solve_diagram(twisted, r=2).verdict == base
+
+
+def count_full_checks(monkeypatch) -> list:
+    """Record every pair that reaches the full check over all points."""
+    calls = []
+    full_check = solver._coefficients
+
+    def counted(a, b, points):
+        calls.append((a, b))
+        return full_check(a, b, points)
+
+    monkeypatch.setattr(solver, "_coefficients", counted)
+    return calls
+
+
+def test_index_test_prunes_full_checks_not_rank2(monkeypatch):
+    calls = count_full_checks(monkeypatch)
+    out = solve(gen_bt(300))
+    assert (out.verdict, out.pairs_examined) == (NOT_RANK2, 22351)
+    assert len(calls) <= 1
+
+
+def test_index_test_prunes_full_checks_rank2(monkeypatch):
+    A = gen_near_t(200, seed=[9, 3])
+    calls = count_full_checks(monkeypatch)
+    out = solve(A)
+    assert (out.verdict, out.pairs_examined) == (RANK2, 9703)
+    pair = out.certificate.pair
+    assert calls == [(pair.a, pair.b)]
+
+
+def test_default_solve_matches_the_collecting_run_beyond_the_pin_corpus():
+    # the pin corpus stops at bt(100) and near_t t <= 100; r alternates
+    # to keep the unpruned collecting runs to a few seconds
+    corpus = [(gen_bt(t), 1 + t % 2) for t in range(101, 161)]
+    corpus += [
+        (gen_near_t(100 + 150 * i // 40, seed=[4, i]), 1 + i % 2) for i in range(40)
+    ]
+    verdicts = set()
+    for A, r in corpus:
+        out, ref = solve(A, r=r), solve(A, r=r, collect_rejections=True)
+        assert (out.verdict, out.pairs_examined) == (ref.verdict, ref.pairs_examined)
+        if out.verdict == RANK2:
+            assert (out.certificate.F1 == ref.certificate.F1).all()
+            assert (out.certificate.F2 == ref.certificate.F2).all()
+        verdicts.add(out.verdict)
+    assert verdicts == {RANK2, NOT_RANK2}
