@@ -1,18 +1,16 @@
 """Benchmark suites over the instance generators, with CSV output.
 
 Per-instance wall time is measured around the solve call only (generation
-and parsing excluded).  The NNIRANK2_THREADS environment variable caps
-parallelism; instances carry their own seeds, so per-instance results and
-timings do not depend on scheduling.
+and parsing excluded).  Every suite runs its instances one after another in
+this process; each instance is generated from its own seed, so the
+non-timing columns are the same on every run.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,21 +67,6 @@ class BenchRecord:
         return out
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("NNIRANK2_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, tasks):
-    workers = _threads()
-    if workers == 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _timed(fn, A):
     t0 = time.perf_counter()
     out = fn(A)
@@ -95,33 +78,19 @@ def _timed_solve(A):
     return max(int(x) for x in A.flat), dt, out.verdict == RANK2
 
 
-def _solve_product_instance(task):
-    n, sigma, seed = task
-    return _timed_solve(gen_product(n, n, sigma, seed=seed)[2])
-
-
-def _solve_reduce_instance(task):
-    n, sigma, seed = task
-    _, _, A = gen_product(n, n, sigma, seed=seed)
+def _timed_solve_reduce(A):
+    """Direct solve, reduce and solve of the reduction, each timed."""
     out, t_direct = _timed(solve, A)
     (C, _), t_reduce = _timed(reduce_to_3x3, A)
     out_c, t_factor = _timed(solve, C)
     if (out.verdict == RANK2) != (out_c.verdict == RANK2):
         raise RuntimeError("internal error: the reduced instance has another verdict")
-    return max(int(x) for x in A.flat), t_direct, t_reduce, t_factor, out.verdict == RANK2
+    return max(int(x) for x in A.flat), t_direct, out.verdict == RANK2, t_reduce, t_factor
 
 
-def _solve_bt_instance(t):
-    return _timed_solve(gen_bt(t))
-
-
-def _solve_near_t_instance(task):
-    t, seed = task
-    return (t, *_timed_solve(gen_near_t(t, seed=seed)))
-
-
-def _single(t, largest, dt, is_r2) -> BenchRecord:
+def _single(t, A) -> BenchRecord:
     """Record of one 3 x 3 instance."""
+    largest, dt, is_r2 = _timed_solve(A)
     return BenchRecord(
         n=3,
         m=3,
@@ -159,8 +128,10 @@ def run_table1(count: int = 100, seed: int = 0, ns=None, sigmas=None) -> list[Be
     sigmas = tuple(sigmas) if sigmas else TABLE1_SIGMAS
     records = []
     for ci, (n, sigma) in enumerate((n, s) for n in ns for s in sigmas):
-        tasks = [(n, sigma, [seed, ci, i]) for i in range(count)]
-        results = _map(_solve_product_instance, tasks)
+        results = [
+            _timed_solve(gen_product(n, n, sigma, seed=[seed, ci, i])[2])
+            for i in range(count)
+        ]
         records.append(_aggregate(n, n, sigma, results))
     return records
 
@@ -184,26 +155,31 @@ def run_table2(count: int = 100, seed: int = 0, ns=None, sigmas=None) -> list[Be
     records = []
     for ci, (n, sigma) in enumerate(cells):
         cell_count = min(count, 3) if n >= 300 else count
-        tasks = [(n, sigma, [seed, ci, i]) for i in range(cell_count)]
-        results = _map(_solve_reduce_instance, tasks)
-        rec = _aggregate(n, n, sigma, [(r[0], r[1], r[4]) for r in results])
-        rec.reduce_seconds = sum(r[2] for r in results) / len(results)
-        rec.reduced_factor_seconds = sum(r[3] for r in results) / len(results)
+        results = [
+            _timed_solve_reduce(gen_product(n, n, sigma, seed=[seed, ci, i])[2])
+            for i in range(cell_count)
+        ]
+        rec = _aggregate(n, n, sigma, results)
+        rec.reduce_seconds = sum(r[3] for r in results) / len(results)
+        rec.reduced_factor_seconds = sum(r[4] for r in results) / len(results)
         records.append(rec)
     return records
 
 
 def run_bt(tmax: int = 100) -> list[BenchRecord]:
     """One record per t for the hard deterministic 3 x 3 family."""
-    results = _map(_solve_bt_instance, list(range(1, tmax + 1)))
-    return [_single(t, *r) for t, r in zip(range(1, tmax + 1), results)]
+    if tmax < 1:
+        raise ValueError("tmax must be at least 1")
+    return [_single(t, gen_bt(t)) for t in range(1, tmax + 1)]
 
 
 def run_near_t(count: int = 1000, seed: int = 0) -> list[BenchRecord]:
     """One record per matrix, t drawn uniformly from [3, 100]."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
     rng = np.random.default_rng([seed, 999])
-    tasks = [(int(rng.integers(3, 101)), [seed, i]) for i in range(count)]
-    return [_single(*r) for r in _map(_solve_near_t_instance, tasks)]
+    ts = [int(rng.integers(3, 101)) for _ in range(count)]
+    return [_single(t, gen_near_t(t, seed=[seed, i])) for i, t in enumerate(ts)]
 
 
 def records_to_csv(records: list[BenchRecord], with_reduce: bool = False) -> str:

@@ -10,21 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import bench
 from .diagram import build_diagram, canonicalize
-from .instances import GenSpec, gen_bt, gen_near_t, gen_product
+from .instances import GenSpec, generate
 from .matrixio import format_matrix, load_matrix, write_matrix
 from .oracle import brute_force
 from .reduction import ReductionTrace, reduce_to_3x3
 from .solver import NOT_RANK2, RANK2, RANK_LE_1, SolveOutcome, solve
-
-
-def _mat_rows(M) -> list[list[int]]:
-    return [[int(x) for x in row] for row in np.asarray(M, dtype=object)]
 
 
 def _print_matrix(label: str, M) -> None:
@@ -42,13 +37,13 @@ def _factor_json(out: SolveOutcome, explain: bool) -> dict:
     }
     if out.verdict == RANK2:
         cert = out.certificate
-        doc["F1"] = _mat_rows(cert.F1)
-        doc["F2"] = _mat_rows(cert.F2)
+        doc["F1"] = cert.F1.tolist()
+        doc["F2"] = cert.F2.tolist()
         doc["generators"] = [list(cert.pair.a), list(cert.pair.b)]
     elif out.verdict == RANK_LE_1:
         F1, F2 = out.rank1_factors
-        doc["F1"] = _mat_rows(F1)
-        doc["F2"] = _mat_rows(F2)
+        doc["F1"] = F1.tolist()
+        doc["F2"] = F2.tolist()
     if explain and out.rejections is not None:
         doc["rejections"] = [
             {
@@ -130,20 +125,14 @@ def cmd_generate(args) -> int:
         seed=args.seed,
     )
     spec.validate()
+    if args.count < 1:
+        raise ValueError("count must be at least 1")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
         # instance i draws from an independent stream derived from (seed, i)
-        if spec.kind == "product":
-            _, _, A = gen_product(
-                spec.rows, spec.cols, spec.sigma, seed=[spec.seed, i]
-            )
-        elif spec.kind == "near_t":
-            A = gen_near_t(spec.t, seed=[spec.seed, i])
-        else:
-            A = gen_bt(spec.t)
         path = outdir / f"{spec.kind}_{spec.seed}_{i}.txt"
-        write_matrix(path, A)
+        write_matrix(path, generate(replace(spec, seed=(spec.seed, i))))
         print(path)
     return 0
 
@@ -191,7 +180,7 @@ def _diagram_doc(args, A) -> tuple[dict, list[str]]:
     if args.canonical:
         cd = canonicalize(d, args.r)
         d = cd.diagram
-    doc["basis"] = _mat_rows(d.basis)
+    doc["basis"] = d.basis.tolist()
     doc["points"] = [list(p) for p in d.points]
     doc["cone"] = [list(g) for g in d.cone_gens]
     lines.append("basis:")
@@ -201,7 +190,7 @@ def _diagram_doc(args, A) -> tuple[dict, list[str]]:
     lines.append("cone:")
     lines.extend(f"{g[0]} {g[1]}" for g in d.cone_gens)
     if args.canonical:
-        doc["transform"] = _mat_rows(cd.transform)
+        doc["transform"] = cd.transform.tolist()
         doc["canon_index"] = cd.canon_index
         lines.append("transform:")
         lines.append(format_matrix(cd.transform).rstrip("\n"))

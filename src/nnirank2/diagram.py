@@ -196,16 +196,6 @@ def _apply(M: tuple[tuple[int, int], tuple[int, int]], p: Vec2) -> Vec2:
     return (M[0][0] * p[0] + M[0][1] * p[1], M[1][0] * p[0] + M[1][1] * p[1])
 
 
-def _inv2(M: tuple[tuple[int, int], tuple[int, int]]) -> np.ndarray:
-    det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    if det not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    # adjugate divided by det; det is +-1 so this stays integer
-    return as_int_matrix(
-        [[M[1][1] * det, -M[0][1] * det], [-M[1][0] * det, M[0][0] * det]]
-    )
-
-
 def canonicalize(d: Diagram, r: int = 1) -> CanonicalDiagram:
     """Canonical form of a diagram: cone spanned by (1,0) and (c,d), 0<=c<d.
 
@@ -233,16 +223,17 @@ def canonicalize(d: Diagram, r: int = 1) -> CanonicalDiagram:
     new_other = _apply(T, other)
     if _apply(T, g) != (1, 0) or not 0 <= new_other[0] < new_other[1]:
         raise RuntimeError("internal error: cone transform is not in normal form")
-    new_points = tuple(_apply(T, p) for p in d.points)
-    new_basis = d.basis @ _inv2(T)
+    (t00, t01), (t10, t11) = T
+    det = t00 * t11 - t01 * t10  # +-1, as T sends the primitive g to (1, 0)
+    inv_t = ((det * t11, -det * t10), (-det * t01, det * t00))  # (T^-1)^T = det * adj(T)^T
     inner = Diagram(
-        basis=new_basis,
-        points=new_points,
+        basis=np.array([_apply(inv_t, row) for row in d.basis.tolist()], dtype=object),
+        points=tuple(_apply(T, p) for p in d.points),
         cone_gens=((1, 0), new_other),
         source_dims=d.source_dims,
     )
     return CanonicalDiagram(
-        diagram=inner, transform=as_int_matrix(T), canon_index=r
+        diagram=inner, transform=np.array(T, dtype=object), canon_index=r
     )
 
 

@@ -28,7 +28,7 @@ class GenSpec:
     cols: int = 3
     sigma: float = 3.0
     t: int = 4
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0  # an int, or entropy for numpy's SeedSequence
 
     def validate(self) -> None:
         if self.kind not in ("product", "bt", "near_t"):

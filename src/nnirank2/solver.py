@@ -24,7 +24,6 @@ from .linalg import (
     _extremes,
     _hermite2,
     as_int_matrix,
-    primitive,
     primitive_point,
     rank_exact,
 )
@@ -140,17 +139,10 @@ def _triangle_columns(dec: ConeDecomposition) -> Iterator[tuple[int, int, int]]:
         yield x, lo, hi
 
 
-def iter_triangle_points(dec: ConeDecomposition) -> Iterator[Vec2]:
+def triangle_points(dec: ConeDecomposition) -> list[Vec2]:
     """Lattice points of the triangle K₋ ∩ (u_point − K₊), lexicographic;
     see :func:`_triangle_columns`."""
-    for x, lo, hi in _triangle_columns(dec):
-        for y in range(lo, hi + 1):
-            yield (x, y)
-
-
-def triangle_points(dec: ConeDecomposition) -> list[Vec2]:
-    """Materialized :func:`iter_triangle_points`."""
-    return list(iter_triangle_points(dec))
+    return [(x, y) for x, lo, hi in _triangle_columns(dec) for y in range(lo, hi + 1)]
 
 
 def _coefficients(a: Vec2, b: Vec2, points) -> list[Vec2] | int:
@@ -286,21 +278,17 @@ def assemble(
     Both must come out nonnegative: a and b lie in the ambient cone, so
     their preimages lie in col(A) ∩ Z⁺ⁿ.
     """
-    gen_mat = as_int_matrix([[pair.a[0], pair.b[0]], [pair.a[1], pair.b[1]]])
-    F1 = cd.basis @ gen_mat
-    if (F1 < 0).any():
+    (ax, ay), (bx, by) = pair.a, pair.b
+    F1 = [(x * ax + y * ay, x * bx + y * by) for x, y in cd.basis.tolist()]
+    if any(f < 0 for row in F1 for f in row):
         raise RuntimeError(
             "internal error: generator preimage has a negative entry"
         )
-    m = len(W)
-    F2 = np.empty((2, m), dtype=object)
-    for i, (w0, w1) in enumerate(W):
-        F2[0, i] = w0
-        F2[1, i] = w1
-        p = cd.points[i]
-        if (pair.a[0] * w0 + pair.b[0] * w1, pair.a[1] * w0 + pair.b[1] * w1) != p:
+    for i, ((w0, w1), p) in enumerate(zip(W, cd.points)):
+        if (ax * w0 + bx * w1, ay * w0 + by * w1) != p:
             raise RuntimeError(f"internal error: coefficients do not rebuild point {i}")
-    return Rank2Certificate(F1=F1, F2=F2, pair=pair, W=list(W))
+    F2 = np.array(list(zip(*W)), dtype=object)
+    return Rank2Certificate(F1=np.array(F1, dtype=object), F2=F2, pair=pair, W=list(W))
 
 
 def verify_factorization(A, F1, F2) -> bool:
@@ -320,24 +308,22 @@ def verify_factorization(A, F1, F2) -> bool:
     return bool((F1 @ F2 == A).all())
 
 
-def _rank1_factors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor a rank <= 1 nonnegative matrix as (n x 1) @ (1 x m)."""
-    n, m = A.shape
-    j0 = next((j for j in range(m) if any(A[i, j] != 0 for i in range(n))), None)
-    F1 = np.zeros((n, 1), dtype=object)
-    F2 = np.zeros((1, m), dtype=object)
+def _rank1_factors(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Factor a rank <= 1 nonnegative matrix, given by its rows, as
+    (n x 1) @ (1 x m): the primitive first nonzero column times each
+    column's multiple of it."""
+    cols = list(zip(*rows))
+    j0 = next((j for j, col in enumerate(cols) if any(col)), None)
     if j0 is None:
-        return F1, F2
-    g = primitive(A[:, j0])
-    i0 = next(i for i in range(n) if g[i] != 0)
-    for i in range(n):
-        F1[i, 0] = g[i]
-    for j in range(m):
-        k = A[i0, j] // g[i0]
-        if any(A[i, j] != k * g[i] for i in range(n)):
+        return np.zeros((len(rows), 1), dtype=object), np.zeros((1, len(cols)), dtype=object)
+    g = gcd(*cols[j0])
+    gen = [x // g for x in cols[j0]]
+    i0 = next(i for i, x in enumerate(gen) if x)
+    ks = [col[i0] // gen[i0] for col in cols]
+    for col, k in zip(cols, ks):
+        if any(x != k * y for x, y in zip(col, gen)):
             raise ValueError("matrix does not have rank <= 1")
-        F2[0, j] = k
-    return F1, F2
+    return np.array([[x] for x in gen], dtype=object), np.array([ks], dtype=object)
 
 
 def solve(A, r: int = 1, collect_rejections: bool = False) -> SolveOutcome:
@@ -348,6 +334,8 @@ def solve(A, r: int = 1, collect_rejections: bool = False) -> SolveOutcome:
     canonical-diagram search with canonization index ``r``.  Every rank2
     verdict is gated through :func:`verify_factorization` before return.
     """
+    if r not in (1, 2):
+        raise ValueError("canonization index must be 1 or 2")
     A = as_int_matrix(A)
     if (A < 0).any():
         raise ValueError("matrix must be nonnegative")
@@ -355,7 +343,7 @@ def solve(A, r: int = 1, collect_rejections: bool = False) -> SolveOutcome:
     if rk > 2:
         raise ValueError(f"matrix must have rank <= 2, got rank {rk}")
     if rk <= 1:
-        return SolveOutcome(RANK_LE_1, rank1_factors=_rank1_factors(A))
+        return SolveOutcome(RANK_LE_1, rank1_factors=_rank1_factors(A.tolist()))
     cd = canonicalize(build_diagram(A), r)
     out = search(cd, collect_rejections=collect_rejections)
     if out.verdict == RANK2:

@@ -1,3 +1,6 @@
+import csv
+import io
+
 from nnirank2.bench import (
     records_to_csv,
     run_bt,
@@ -42,3 +45,42 @@ def test_near_t_records():
         assert r.count == 1
         # entries concentrate near t
         assert abs(r.avg_largest_entry - r.sigma_or_t) <= 2 * r.sigma_or_t
+
+
+# The non-timing CSV columns (n, m, sigma_or_t, count, avg_largest_entry,
+# rank2_count) exactly as records_to_csv writes them for fixed seeds: a 3 x 3
+# record's largest entry is an int ("76"), a cell's average is a float ("98.0").
+PINNED_CSV = {
+    "table1": [
+        ["3", "3", "3", "3", "23.333333333333332", "3"],
+        ["3", "3", "6", "3", "98.0", "2"],
+        ["5", "5", "3", "3", "31.333333333333332", "3"],
+        ["5", "5", "6", "3", "114.0", "1"],
+    ],
+    "table2": [
+        ["10", "10", "3", "2", "35.0", "2"],
+        ["10", "10", "6", "2", "91.5", "2"],
+    ],
+    "bt": [["3", "3", str(t), "1", str(t + 1), "0"] for t in range(1, 6)],
+    "near_t": [
+        ["3", "3", "72", "1", "76", "0"],
+        ["3", "3", "93", "1", "96", "1"],
+        ["3", "3", "16", "1", "22", "0"],
+        ["3", "3", "64", "1", "78", "0"],
+    ],
+}
+
+
+def test_csv_non_timing_columns_are_pinned():
+    runs = {
+        "table1": records_to_csv(run_table1(count=3, seed=1, ns=[3, 5], sigmas=[3, 6])),
+        "table2": records_to_csv(
+            run_table2(count=2, seed=1, ns=[10], sigmas=[3, 6]), with_reduce=True
+        ),
+        "bt": records_to_csv(run_bt(tmax=5)),
+        "near_t": records_to_csv(run_near_t(count=4, seed=3)),
+    }
+    for suite, text in runs.items():
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        got = [[row[i] for i in (0, 1, 2, 3, 4, 8)] for row in rows]
+        assert got == PINNED_CSV[suite], suite

@@ -236,13 +236,35 @@ def test_bench_table2_csv(capsys):
     assert len(rows) == 1
 
 
-@pytest.mark.parametrize("suite, count", [("table1", "0"), ("table1", "-3"), ("table2", "0")])
+@pytest.mark.parametrize(
+    "suite, count",
+    [("table1", "0"), ("table1", "-3"), ("table2", "0"), ("near_t", "0"), ("near_t", "-3")],
+)
 def test_bench_count_below_one_exit2(suite, count, capsys):
     rc = main(["bench", "--suite", suite, "--count", count, "--n", "10", "--sigma", "3"])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
     assert "count must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("tmax", ["0", "-3"])
+def test_bench_bt_tmax_below_one_exit2(tmax, capsys):
+    rc = main(["bench", "--suite", "bt", "--tmax", tmax])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "tmax must be at least 1" in captured.err
+
+
+def test_generate_count_below_one_exit2(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    rc = main(["generate", "--kind", "bt", "--count", "0", "--outdir", str(outdir)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "count must be at least 1" in captured.err
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("sigma", ["0", "-3"])
@@ -285,16 +307,6 @@ def test_bench_near_t_csv(capsys):
     assert len(rows) == 3
     for r in rows:
         assert 3 <= int(r[2]) <= 100
-
-
-def test_bench_threads_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NNIRANK2_THREADS", "2")
-    rc = main(
-        ["bench", "--suite", "table1", "--count", "2", "--n", "3", "--sigma", "3"]
-    )
-    assert rc == 0
-    header, rows = _parse_csv(capsys.readouterr().out)
-    assert len(rows) == 1 and int(rows[0][3]) == 2
 
 
 def test_diagram_beasley(tmp_path, capsys):

@@ -54,3 +54,20 @@ def test_cli_exits_2_on_non_integer_entries(tmp_path, capsys, text, command):
     path.write_text(text, encoding="utf-8")
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        [[1, 1], [1, 1]],  # rank 1
+        [[0, 0], [0, 0]],  # rank 0
+        [[1, 0, 1], [0, 1, 1]],  # rank 2
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],  # rank 3: r is checked before the rank
+        [[1, 0], [0, -1]],  # negative: r is checked before the entries
+    ],
+)
+def test_solve_rejects_a_bad_canonization_index_first(A):
+    for r in (0, 3, -1):
+        with pytest.raises(ValueError, match="canonization index"):
+            solve(A, r=r)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -216,6 +217,44 @@ def test_solve_1x1():
     assert out.verdict == RANK_LE_1
     F1, F2 = out.rank1_factors
     assert (F1 @ F2).tolist() == [[5]]
+
+
+# SHA-256 of solve's rank1_factors over rank_le_1_corpus(), recorded before
+# the factors moved from numpy indexing to int tuples.
+RANK1_DIGEST = "7eac909289d3f52da71144ebc3fe51b45467652e2a0d3752487bb684572357ca"
+
+
+def rank_le_1_corpus():
+    """Rank 0 and 1 matrices: 1 x 1, all-zero, a leading zero column, and
+    400 seeded k * u v^T with zero rows and columns and entries up to ~10^30."""
+    yield [[0]]
+    yield [[5]]
+    yield [[10**30]]
+    yield [[0, 0, 0], [0, 0, 0]]
+    yield [[0, 6, 3], [0, 4, 2]]
+    rng = random.Random(2605)
+    for i in range(400):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        top = (10, 10**4, 10**15)[i % 3]
+        u = [rng.randint(1, top) if rng.random() < 0.75 else 0 for _ in range(n)]
+        v = [rng.randint(1, top) if rng.random() < 0.75 else 0 for _ in range(m)]
+        k = rng.randint(1, 6)
+        yield [[k * x * y for y in v] for x in u]
+
+
+def test_rank1_factors_are_pinned():
+    h = hashlib.sha256()
+    for A in rank_le_1_corpus():
+        out = solve(A)
+        assert out.verdict == RANK_LE_1
+        F1, F2 = out.rank1_factors
+        assert F1.shape == (len(A), 1) and F2.shape == (1, len(A[0]))
+        assert all(type(x) is int for x in (*F1.flat, *F2.flat))
+        h.update(repr((F1.tolist(), F2.tolist())).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == RANK1_DIGEST
+    out = solve([[0, 6, 3], [0, 4, 2]])
+    assert [r.tolist() for r in out.rank1_factors] == [[[3], [2]], [[0, 2, 1]]]
 
 
 def test_solve_zero_column():
