@@ -137,35 +137,29 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _int_list(text: str | None) -> list[int] | None:
-    if not text:
-        return None
+def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+# each suite's runner and the flags it reads, mapped to the runner's keywords
+_GRID = {"count": "count", "seed": "seed", "n": "ns", "sigma": "sigmas"}
+_SUITES = {
+    "table1": (bench.run_table1, _GRID),
+    "table2": (bench.run_table2, _GRID),
+    "bt": (bench.run_bt, {"tmax": "tmax"}),
+    "near_t": (bench.run_near_t, {"count": "count", "seed": "seed"}),
+}
+
+
 def cmd_bench(args) -> int:
-    if args.suite == "table1":
-        records = bench.run_table1(
-            count=args.count,
-            seed=args.seed,
-            ns=_int_list(args.n),
-            sigmas=_int_list(args.sigma),
-        )
-        csv_text = bench.records_to_csv(records)
-    elif args.suite == "table2":
-        records = bench.run_table2(
-            count=args.count,
-            seed=args.seed,
-            ns=_int_list(args.n),
-            sigmas=_int_list(args.sigma),
-        )
-        csv_text = bench.records_to_csv(records, with_reduce=True)
-    elif args.suite == "bt":
-        records = bench.run_bt(tmax=args.tmax)
-        csv_text = bench.records_to_csv(records)
-    else:
-        records = bench.run_near_t(count=args.count, seed=args.seed)
-        csv_text = bench.records_to_csv(records)
+    run, reads = _SUITES[args.suite]
+    flags = ("count", "seed", "tmax", "n", "sigma")
+    given = {k: v for k in flags if (v := getattr(args, k)) is not None}
+    unread = [f"--{k}" for k in given if k not in reads]
+    if unread:
+        raise ValueError(f"the {args.suite} suite does not read {' '.join(unread)}")
+    records = run(**{reads[k]: v for k, v in given.items()})
+    csv_text = bench.records_to_csv(records, with_reduce=args.suite == "table2")
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")
     else:
@@ -262,11 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a benchmark suite, emit CSV")
     p.add_argument("--suite", choices=("table1", "table2", "bt", "near_t"), required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100, help="instances per cell")
-    p.add_argument("--tmax", type=int, default=100, help="largest t for the bt suite")
-    p.add_argument("--n", help="comma list restricting the n grid")
-    p.add_argument("--sigma", help="comma list restricting the sigma grid")
+    # no defaults here: the suite's runner holds them, and a flag left unset
+    # stays None, so cmd_bench can refuse one its suite does not read
+    p.add_argument("--seed", type=int)
+    p.add_argument("--count", type=int, help="instances per cell")
+    p.add_argument("--tmax", type=int, help="largest t for the bt suite")
+    p.add_argument("--n", type=_int_list, help="comma list restricting the n grid")
+    p.add_argument("--sigma", type=_int_list, help="comma list restricting the sigma grid")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(fn=cmd_bench)
 

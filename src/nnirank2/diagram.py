@@ -37,13 +37,11 @@ class Diagram:
     points      plane coordinates of the columns, in column order.
     cone_gens   primitive coordinates of the two extreme rays of
                 col(A) ∩ R⁺ⁿ, ordered by ascending vanishing-row index.
-    source_dims (n, m) of the source matrix.
     """
 
     basis: np.ndarray
     points: tuple[Vec2, ...]
     cone_gens: tuple[Vec2, Vec2]
-    source_dims: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -188,7 +186,6 @@ def build_diagram(A) -> Diagram:
         basis=np.array(basis, dtype=object),
         points=tuple(pts),
         cone_gens=(d1, d2),
-        source_dims=(int(A.shape[0]), int(A.shape[1])),
     )
 
 
@@ -230,7 +227,6 @@ def canonicalize(d: Diagram, r: int = 1) -> CanonicalDiagram:
         basis=np.array([_apply(inv_t, row) for row in d.basis.tolist()], dtype=object),
         points=tuple(_apply(T, p) for p in d.points),
         cone_gens=((1, 0), new_other),
-        source_dims=d.source_dims,
     )
     return CanonicalDiagram(
         diagram=inner, transform=np.array(T, dtype=object), canon_index=r

@@ -31,17 +31,27 @@ class GenSpec:
     seed: int | tuple[int, ...] = 0  # an int, or entropy for numpy's SeedSequence
 
     def validate(self) -> None:
-        if self.kind not in ("product", "bt", "near_t"):
-            raise ValueError(f"unknown instance kind {self.kind!r}")
         if self.kind == "product":
-            if self.rows < 2 or self.cols < 2:
-                raise ValueError("product instances need rows >= 2 and cols >= 2")
-            if not self.sigma > 0:
-                raise ValueError("sigma must be positive")
-        if self.kind == "bt" and self.t < 1:
-            raise ValueError("bt instances need t >= 1")
-        if self.kind == "near_t" and self.t < 3:
-            raise ValueError("near_t instances need t >= 3")
+            _check_product(self.rows, self.cols, self.sigma)
+        elif self.kind in _T_MIN:
+            _check_t(self.kind, self.t)
+        else:
+            raise ValueError(f"unknown instance kind {self.kind!r}")
+
+
+_T_MIN = {"bt": 1, "near_t": 3}
+
+
+def _check_product(rows: int, cols: int, sigma: float) -> None:
+    if rows < 2 or cols < 2:
+        raise ValueError("product instances need rows >= 2 and cols >= 2")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError("sigma must be positive")
+
+
+def _check_t(kind: str, t: int) -> None:
+    if t < _T_MIN[kind]:
+        raise ValueError(f"{kind} instances need t >= {_T_MIN[kind]}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,10 +100,7 @@ def gen_product(
     samples lying in the dual cone of the columns (boundary allowed).  The
     whole instance is resampled until both factors have rank 2.
     """
-    if rows < 2 or cols < 2:
-        raise ValueError("product instances need rows >= 2 and cols >= 2")
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError("sigma must be positive")
+    _check_product(rows, cols, sigma)
     if rng is None:
         rng = np.random.default_rng(seed)
     while True:
@@ -116,8 +123,7 @@ def gen_product(
 
 def gen_bt(t: int) -> np.ndarray:
     """The 3 x 3 matrix with rows (t+1, t, t-1), (t, t, t), (t-1, t, t+1)."""
-    if t < 1:
-        raise ValueError("bt instances need t >= 1")
+    _check_t("bt", t)
     return as_int_matrix([[t + 1, t, t - 1], [t, t, t], [t - 1, t, t + 1]])
 
 
@@ -133,8 +139,7 @@ def gen_near_t(
     2x - y; the rows therefore satisfy row3 = 2*row1 - row2 exactly and all
     entries are nonnegative.  Resamples until the matrix has rank 2.
     """
-    if t < 3:
-        raise ValueError("near_t instances need t >= 3")
+    _check_t("near_t", t)
     if rng is None:
         rng = np.random.default_rng(seed)
     while True:

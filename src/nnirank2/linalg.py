@@ -1,9 +1,8 @@
-"""Exact integer and rational linear algebra primitives.
+"""Exact integer linear algebra primitives.
 
 Public functions take and return numpy object arrays holding Python ints,
-so every operation is exact at any magnitude; rationals are
-``fractions.Fraction`` (always reduced, positive denominator).  There is no
-floating point anywhere in this module.
+so every operation is exact at any magnitude.  There is no floating point
+anywhere in this module.
 
 The private rank-2 lattice kernel (``_pivot`` to ``_lagrange_gauss``) works
 on tuples of Python ints; the Smith form is the reference it is tested
@@ -14,15 +13,12 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 Vec2 = tuple[int, int]
 Pivot = tuple[int, int, int]  # rows i, k of an n x 2 basis and their minor
-
-gcd = math.gcd  # gcd of absolute values; gcd(0, 0) == 0
 
 
 def _entry(x) -> int:
@@ -76,12 +72,6 @@ def identity_matrix(n: int) -> np.ndarray:
     out = np.zeros((n, n), dtype=object)
     np.fill_diagonal(out, 1)
     return out
-
-
-def matrices_equal(a, b) -> bool:
-    a = np.asarray(a, dtype=object)
-    b = np.asarray(b, dtype=object)
-    return a.shape == b.shape and bool((a == b).all())
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -189,10 +179,6 @@ def det_exact(A) -> int:
         raise ValueError("determinant requires a square matrix")
     rank, last = _bareiss(M)
     return last if rank == len(M) else 0
-
-
-def is_unimodular(A) -> bool:
-    return abs(det_exact(A)) == 1
 
 
 class SnfResult(NamedTuple):
@@ -446,24 +432,3 @@ def reduce_basis_rank2(v1, v2) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("basis vectors must be linearly independent")
     return tuple(as_int_vector(v) for v in _lagrange_gauss(b1, b2))
 
-
-def solve2(B, y) -> tuple[Fraction, Fraction] | None:
-    """Exact rational solution of B @ x = y for an n x 2 matrix B of rank 2.
-
-    Returns None when the system is inconsistent; raises ValueError when B
-    is rank-deficient.
-    """
-    B = as_int_matrix(B)
-    y = tuple(as_int_vector(y))
-    if B.shape[1] != 2:
-        raise ValueError("solve2 expects an n x 2 matrix")
-    if len(y) != B.shape[0]:
-        raise ValueError("dimension mismatch between matrix and right-hand side")
-    brows = [tuple(r) for r in B.tolist()]
-    piv = _pivot(brows)
-    if piv is None:
-        raise ValueError("solve2 requires a rank-2 matrix")
-    num = _span_coords(brows, piv, y)
-    if num is None:
-        return None
-    return Fraction(num[0], piv[2]), Fraction(num[1], piv[2])

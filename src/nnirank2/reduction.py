@@ -102,35 +102,6 @@ def row_lattice_basis(A) -> tuple[np.ndarray, np.ndarray]:
     return tuple(as_int_vector(a) for a in _row_lattice(rows, B, piv))
 
 
-def integer_lattice_coords(basis, v) -> Vec2 | None:
-    """Integer coordinates of v in the rank-2 basis (a1, a2), or None."""
-    a1, a2 = (tuple(as_int_vector(a)) for a in basis)
-    v = tuple(as_int_vector(v))
-    if not len(a1) == len(a2) == len(v):
-        raise ValueError("dimension mismatch between basis and vector")
-    lattice = list(zip(a1, a2))
-    piv = _pivot(lattice)
-    if piv is None:
-        raise ValueError("basis vectors must be linearly independent")
-    return _int_coords(lattice, piv, v)
-
-
-def primitivize_in_lattice(v, basis) -> np.ndarray:
-    """Divide v by the largest positive integer keeping it in the lattice.
-
-    Expressed in basis coordinates this is division by the coordinate gcd;
-    the result is a primitive lattice element on the same ray.
-    """
-    v = as_int_vector(v)
-    coords = integer_lattice_coords(basis, v)
-    if coords is None:
-        raise ValueError("vector is not in the lattice")
-    g = math.gcd(coords[0], coords[1])
-    if g == 0:
-        raise ValueError("cannot primitivize the zero vector")
-    return v // g
-
-
 def _generation_certificate(coords: list[Vec2]) -> bool:
     # The vectors generate the full lattice iff the gcd of all 2x2
     # determinants of their coordinate pairs is 1.

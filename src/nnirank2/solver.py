@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .diagram import CanonicalDiagram, Diagram, build_diagram, canonicalize, in_cone
+from .diagram import CanonicalDiagram, build_diagram, canonicalize, in_cone
 from .linalg import (
     Vec2,
     _extremes,
@@ -67,7 +67,6 @@ class Rank2Certificate:
     F1: np.ndarray  # n x 2, nonnegative
     F2: np.ndarray  # 2 x m, nonnegative
     pair: CandidatePair
-    W: list[Vec2]
 
 
 @dataclass
@@ -146,8 +145,13 @@ def triangle_points(dec: ConeDecomposition) -> list[Vec2]:
 
 
 def _coefficients(a: Vec2, b: Vec2, points) -> list[Vec2] | int:
-    """:func:`check_pair` on int tuples: the coefficient list, or the index
-    of the first point whose coefficients are not nonnegative integers."""
+    """Coefficients of every point in the candidate basis (a, b), if they exist.
+
+    Point p has coefficients w = (cross(p, b)/D, cross(a, p)/D) with
+    D = cross(a, b).  Returns the coefficient list when every w is a pair
+    of nonnegative integers, otherwise the index of the first point whose
+    coefficients are not.  Raises ValueError when a and b are parallel.
+    """
     ax, ay = a
     bx, by = b
     D = ax * by - ay * bx
@@ -161,23 +165,6 @@ def _coefficients(a: Vec2, b: Vec2, points) -> list[Vec2] | int:
             return i
         W.append((q1, q2))
     return W
-
-
-def check_pair(
-    pair: CandidatePair, points
-) -> tuple[list[Vec2] | None, PairRejection | None]:
-    """Coefficients of every point in the candidate basis, if they exist.
-
-    Point p has coefficients w = (cross(p, b)/D, cross(a, p)/D) with
-    D = cross(a, b).  Succeeds when every w is a pair of nonnegative
-    integers, returning the coefficient list; otherwise returns the
-    rejection carrying the first offending index and its exact rational
-    coefficients.  Raises ValueError when a and b are parallel.
-    """
-    W = _coefficients(pair.a, pair.b, points)
-    if not isinstance(W, int):
-        return W, None
-    return None, _rejection(pair, points, W)
 
 
 def _rejection(pair: CandidatePair, points, i: int) -> PairRejection:
@@ -288,7 +275,7 @@ def assemble(
         if (ax * w0 + bx * w1, ay * w0 + by * w1) != p:
             raise RuntimeError(f"internal error: coefficients do not rebuild point {i}")
     F2 = np.array(list(zip(*W)), dtype=object)
-    return Rank2Certificate(F1=np.array(F1, dtype=object), F2=F2, pair=pair, W=list(W))
+    return Rank2Certificate(F1=np.array(F1, dtype=object), F2=F2, pair=pair)
 
 
 def verify_factorization(A, F1, F2) -> bool:
@@ -352,7 +339,3 @@ def solve(A, r: int = 1, collect_rejections: bool = False) -> SolveOutcome:
             raise RuntimeError("internal error: certificate failed verification")
     return out
 
-
-def solve_diagram(d: Diagram, r: int = 1, collect_rejections: bool = False) -> SolveOutcome:
-    """Run the search from an existing diagram instead of a matrix."""
-    return search(canonicalize(d, r), collect_rejections=collect_rejections)

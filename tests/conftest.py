@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import nnirank2
-from nnirank2.linalg import as_int_matrix, solve2
+from nnirank2.linalg import _int_coords, _pivot, as_int_matrix
 
 # 3x3 matrix of rank 2 whose nonnegative integer rank is 3
 BEASLEY = [[2, 0, 3], [1, 1, 4], [1, 3, 9]]
@@ -28,16 +28,13 @@ SUBMATRIX_4COL = [[0, 6, 10, 15], [1, 3, 5, 8], [5, 9, 15, 25]]
 
 def same_lattice(basis_a, basis_b) -> bool:
     """Do the columns of two n x 2 integer matrices generate one lattice?"""
-    basis_a = as_int_matrix(basis_a)
-    basis_b = as_int_matrix(basis_b)
-    coords = []
-    for j in range(2):
-        sol = solve2(basis_a, basis_b[:, j])
-        if sol is None or sol[0].denominator != 1 or sol[1].denominator != 1:
-            return False
-        coords.append((int(sol[0]), int(sol[1])))
-    det = coords[0][0] * coords[1][1] - coords[0][1] * coords[1][0]
-    return abs(det) == 1
+    brows = [tuple(r) for r in as_int_matrix(basis_a).tolist()]
+    piv = _pivot(brows)
+    coords = [_int_coords(brows, piv, col) for col in as_int_matrix(basis_b).T.tolist()]
+    if None in coords:
+        return False
+    (x0, y0), (x1, y1) = coords
+    return abs(x0 * y1 - y0 * x1) == 1
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:

@@ -241,11 +241,24 @@ def test_bench_table2_csv(capsys):
     [("table1", "0"), ("table1", "-3"), ("table2", "0"), ("near_t", "0"), ("near_t", "-3")],
 )
 def test_bench_count_below_one_exit2(suite, count, capsys):
-    rc = main(["bench", "--suite", suite, "--count", count, "--n", "10", "--sigma", "3"])
+    grid = [] if suite == "near_t" else ["--n", "10", "--sigma", "3"]
+    rc = main(["bench", "--suite", suite, "--count", count, *grid])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
     assert "count must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "suite, flag",
+    [("table1", "--tmax"), ("table2", "--tmax"), ("bt", "--count"), ("near_t", "--sigma")],
+)
+def test_bench_flag_its_suite_does_not_read_exit2(suite, flag, capsys):
+    rc = main(["bench", "--suite", suite, flag, "3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"the {suite} suite does not read {flag}" in captured.err
 
 
 @pytest.mark.parametrize("tmax", ["0", "-3"])
@@ -264,6 +277,16 @@ def test_generate_count_below_one_exit2(tmp_path, capsys):
     assert rc == 2
     assert captured.out == ""
     assert "count must be at least 1" in captured.err
+    assert not outdir.exists()
+
+
+def test_generate_sigma_inf_exit2(tmp_path, capsys):
+    outdir = tmp_path / "inf"
+    rc = main(["generate", "--kind", "product", "--sigma", "inf", "--outdir", str(outdir)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "sigma must be positive" in captured.err
     assert not outdir.exists()
 
 

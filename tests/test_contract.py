@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import nnirank2
 from nnirank2.cli import main
 from nnirank2.diagram import build_diagram
 from nnirank2.linalg import as_int_matrix, rank_exact
@@ -71,3 +72,11 @@ def test_solve_rejects_a_bad_canonization_index_first(A):
     for r in (0, 3, -1):
         with pytest.raises(ValueError, match="canonization index"):
             solve(A, r=r)
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in nnirank2.__all__ if not hasattr(nnirank2, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from nnirank2 import *", namespace)
+    assert set(nnirank2.__all__) <= set(namespace)

@@ -106,7 +106,6 @@ def test_brute_force_unimodular_invariance():
             basis=d.basis @ Uinv,
             points=tuple(apply(p) for p in d.points),
             cone_gens=tuple(apply(g) for g in d.cone_gens),
-            source_dims=d.source_dims,
         )
         for r in (1, 2):
             assert brute_force(canonicalize(twisted, r)).rank2 == base

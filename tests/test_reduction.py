@@ -2,13 +2,11 @@ import math
 
 import pytest
 
-from conftest import M55, PRINTED_B35, PRINTED_C33
+from conftest import M55, PRINTED_B35, PRINTED_C33, same_lattice
 from nnirank2.instances import gen_product
-from nnirank2.linalg import as_int_matrix, as_int_vector
+from nnirank2.linalg import _int_coords, _pivot, as_int_matrix
 from nnirank2.reduction import (
     build_3xm,
-    integer_lattice_coords,
-    primitivize_in_lattice,
     reduce_to_3x3,
     row_lattice_basis,
     validate_equivalence,
@@ -16,34 +14,11 @@ from nnirank2.reduction import (
 from nnirank2.solver import solve
 
 
-def test_primitivize_in_lattice_paper_rows(m55):
-    basis = row_lattice_basis(m55)
-    out = primitivize_in_lattice(m55[3, :], basis)  # row (2,6,10,10,6)
-    assert list(out) == [1, 3, 5, 5, 3]
-    out = primitivize_in_lattice([3, 6, 9, 6, 3], basis)
-    assert list(out) == [1, 2, 3, 2, 1]
-    # already primitive: unchanged
-    out = primitivize_in_lattice(m55[2, :], basis)
-    assert list(out) == [5, 8, 11, 4, 1]
-
-
-def test_primitivize_in_lattice_rejects_outside():
-    basis = row_lattice_basis([[1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        primitivize_in_lattice([1, 0, 0], basis)  # wrong length
-    basis = row_lattice_basis([[2, 0], [0, 2]])
-    with pytest.raises(ValueError):
-        primitivize_in_lattice([1, 0], basis)  # not in the doubled lattice
-
-
 def test_row_lattice_basis_m55(m55):
     a1, a2 = row_lattice_basis(m55)
     # both printed basis vectors lie in the computed lattice and vice versa
-    printed = [as_int_vector([1, 1, 1, -1, -1]), as_int_vector([0, -1, -2, -3, -2])]
-    c1 = integer_lattice_coords((a1, a2), printed[0])
-    c2 = integer_lattice_coords((a1, a2), printed[1])
-    assert c1 is not None and c2 is not None
-    assert abs(c1[0] * c2[1] - c1[1] * c2[0]) == 1
+    printed = [[1, 1, 1, -1, -1], [0, -1, -2, -3, -2]]
+    assert same_lattice(list(zip(a1, a2)), list(zip(*printed)))
 
 
 def test_build_3xm_m55(m55):
@@ -128,8 +103,9 @@ def test_b3_certificate_and_growth_random():
         p, q = tr.b1_coords
         r_, s_ = tr.bezout
         assert r_ * p - s_ * q == 1
-        basis = tuple(as_int_vector(v) for v in tr.basis)
-        coords = [integer_lattice_coords(basis, B[k, :]) for k in range(3)]
+        lattice = list(zip(*tr.basis))
+        piv = _pivot(lattice)
+        coords = [_int_coords(lattice, piv, B[k, :].tolist()) for k in range(3)]
         g = 0
         for a in range(3):
             for b in range(a + 1, 3):

@@ -15,11 +15,11 @@ from nnirank2.solver import (
     RANK2,
     RANK_LE_1,
     CandidatePair,
-    check_pair,
+    _coefficients,
+    _rejection,
     decompose,
     search,
     solve,
-    solve_diagram,
     triangle_points,
     verify_factorization,
 )
@@ -118,23 +118,25 @@ def test_triangle_points_random_vs_scan():
 
 def test_check_pair_beasley_failure():
     pair = CandidatePair((1, 0), (1, 2))
-    W, rej = check_pair(pair, [(1, 2), (1, 0), (4, 3)])
-    assert W is None
+    points = [(1, 2), (1, 0), (4, 3)]
+    i = _coefficients(pair.a, pair.b, points)
+    assert i == 2
+    rej = _rejection(pair, points, i)
     assert rej.index == 2
     assert rej.coeffs == (Fraction(5, 2), Fraction(3, 2))
 
 
 def test_check_pair_identity_and_derived():
-    W, rej = check_pair(CandidatePair((1, 0), (0, 1)), [(3, 4), (0, 0), (2, 7)])
-    assert rej is None and W == [(3, 4), (0, 0), (2, 7)]
+    W = _coefficients((1, 0), (0, 1), [(3, 4), (0, 0), (2, 7)])
+    assert W == [(3, 4), (0, 0), (2, 7)]
 
-    W, rej = check_pair(CandidatePair((1, 1), (1, 3)), [(2, 4)])
-    assert rej is None and W == [(1, 1)]
+    W = _coefficients((1, 1), (1, 3), [(2, 4)])
+    assert W == [(1, 1)]
     # verify by substitution: 1*(1,1) + 1*(1,3) == (2,4)
     assert (1 * 1 + 1 * 1, 1 * 1 + 1 * 3) == (2, 4)
 
     with pytest.raises(ValueError):
-        check_pair(CandidatePair((1, 1), (2, 2)), [(1, 1)])
+        _coefficients((1, 1), (2, 2), [(1, 1)])
 
 
 def test_search_beasley(beasley):
@@ -319,12 +321,10 @@ def test_primitivity_without_loss():
         for _ in range(4):
             k, l = rng.randint(0, 4), rng.randint(0, 4)
             pts.append((k * sa[0] + l * tb[0], k * sa[1] + l * tb[1]))
-        W, _ = check_pair(CandidatePair(sa, tb), pts)
-        assert W is not None
-        W2, _ = check_pair(
-            CandidatePair(primitive_point(sa), primitive_point(tb)), pts
-        )
-        assert W2 is not None
+        W = _coefficients(sa, tb, pts)
+        assert isinstance(W, list)
+        W2 = _coefficients(primitive_point(sa), primitive_point(tb), pts)
+        assert isinstance(W2, list)
 
 
 def test_canonical_index_independence():
@@ -346,7 +346,7 @@ def test_solve_diagram_mode_unimodular_invariance():
     for i in range(60):
         _, _, A = gen_product(3, 3, 3, seed=[707, i])
         d = build_diagram(A)
-        base = solve_diagram(d).verdict
+        base = search(canonicalize(d, 1)).verdict
         assert base == solve(A).verdict
         # re-draw the same instance through a random unimodular map
         a = rng.randint(-2, 2)
@@ -372,10 +372,9 @@ def test_solve_diagram_mode_unimodular_invariance():
                 )
                 for g in d.cone_gens
             ),
-            source_dims=d.source_dims,
         )
-        assert solve_diagram(twisted).verdict == base
-        assert solve_diagram(twisted, r=2).verdict == base
+        assert search(canonicalize(twisted, 1)).verdict == base
+        assert search(canonicalize(twisted, 2)).verdict == base
 
 
 def count_full_checks(monkeypatch) -> list:
