@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -22,22 +22,12 @@ from .solver import RANK2, solve
 TABLE1_NS = (3, 5, 10, 50, 100)
 TABLE1_SIGMAS = (3, 6, 10, 25)
 TABLE2_CELLS = ((10, 3), (10, 6), (10, 10), (10, 25), (300, 3))
-CSV_COLUMNS = (
-    "n",
-    "m",
-    "sigma_or_t",
-    "count",
-    "avg_largest_entry",
-    "min_seconds",
-    "avg_seconds",
-    "max_seconds",
-    "rank2_count",
-)
-TABLE2_EXTRA = ("reduce_seconds", "reduced_factor_seconds")
 
 
 @dataclass
 class BenchRecord:
+    """One CSV row: the fields are its columns in order, table2's two last."""
+
     n: int
     m: int
     sigma_or_t: float
@@ -49,22 +39,6 @@ class BenchRecord:
     rank2_count: int
     reduce_seconds: float | None = None
     reduced_factor_seconds: float | None = None
-
-    def row(self, with_reduce: bool) -> list:
-        out = [
-            self.n,
-            self.m,
-            self.sigma_or_t,
-            self.count,
-            self.avg_largest_entry,
-            self.min_seconds,
-            self.avg_seconds,
-            self.max_seconds,
-            self.rank2_count,
-        ]
-        if with_reduce:
-            out += [self.reduce_seconds, self.reduced_factor_seconds]
-        return out
 
 
 def _timed(fn, A):
@@ -183,10 +157,10 @@ def run_near_t(count: int = 1000, seed: int = 0) -> list[BenchRecord]:
 
 
 def records_to_csv(records: list[BenchRecord], with_reduce: bool = False) -> str:
+    cols = slice(None if with_reduce else -2)
     buf = io.StringIO()
     writer = csv.writer(buf)
-    header = list(CSV_COLUMNS) + (list(TABLE2_EXTRA) if with_reduce else [])
-    writer.writerow(header)
+    writer.writerow([f.name for f in fields(BenchRecord)][cols])
     for rec in records:
-        writer.writerow([repr(x) if isinstance(x, float) else x for x in rec.row(with_reduce)])
+        writer.writerow([repr(x) if isinstance(x, float) else x for x in astuple(rec)[cols]])
     return buf.getvalue()

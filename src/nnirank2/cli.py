@@ -105,25 +105,38 @@ def _trace_lines(trace: ReductionTrace) -> list[str]:
 def cmd_reduce(args) -> int:
     A = load_matrix(args.input)
     C, trace = reduce_to_3x3(A)
-    comments = _trace_lines(trace) if args.trace else None
+    text = format_matrix(C)
+    if args.trace:
+        text += "".join(f"# {line}\n" for line in _trace_lines(trace))
     if args.output:
-        write_matrix(args.output, C, comments=comments)
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(format_matrix(C))
-        for line in comments or []:
-            print(f"# {line}")
+        sys.stdout.write(text)
     return 0
 
 
+def _read_flags(args, flags, reads, owner: str) -> dict:
+    """The flags among ``flags`` that the user gave (argparse leaves the
+    others None); ValueError naming those ``owner`` does not read."""
+    given = {k: v for k in flags if (v := getattr(args, k)) is not None}
+    unread = [f"--{k}" for k in given if k not in reads]
+    if unread:
+        raise ValueError(f"{owner} does not read {' '.join(unread)}")
+    return given
+
+
+# the GenSpec fields each kind reads; GenSpec holds their defaults
+_KINDS = {
+    "product": ("rows", "cols", "sigma", "seed"),
+    "bt": ("t",),
+    "near_t": ("t", "seed"),
+}
+
+
 def cmd_generate(args) -> int:
-    spec = GenSpec(
-        kind=args.kind,
-        rows=args.rows,
-        cols=args.cols,
-        sigma=args.sigma,
-        t=args.t,
-        seed=args.seed,
-    )
+    flags = ("rows", "cols", "sigma", "t", "seed")
+    given = _read_flags(args, flags, _KINDS[args.kind], f"the {args.kind} kind")
+    spec = GenSpec(kind=args.kind, **given)
     spec.validate()
     if args.count < 1:
         raise ValueError("count must be at least 1")
@@ -154,10 +167,7 @@ _SUITES = {
 def cmd_bench(args) -> int:
     run, reads = _SUITES[args.suite]
     flags = ("count", "seed", "tmax", "n", "sigma")
-    given = {k: v for k in flags if (v := getattr(args, k)) is not None}
-    unread = [f"--{k}" for k in given if k not in reads]
-    if unread:
-        raise ValueError(f"the {args.suite} suite does not read {' '.join(unread)}")
+    given = _read_flags(args, flags, reads, f"the {args.suite} suite")
     records = run(**{reads[k]: v for k, v in given.items()})
     csv_text = bench.records_to_csv(records, with_reduce=args.suite == "table2")
     if args.out:
@@ -168,12 +178,13 @@ def cmd_bench(args) -> int:
 
 
 def _diagram_doc(args, A) -> tuple[dict, list[str]]:
+    reads = ("r",) if args.canonical else ()
+    canon = _read_flags(args, ("r",), reads, "diagram without --canonical")
     d = build_diagram(A)
     doc: dict = {}
     lines: list[str] = []
     if args.canonical:
-        cd = canonicalize(d, args.r)
-        d = cd.diagram
+        d = cd = canonicalize(d, **canon)
     doc["basis"] = d.basis.tolist()
     doc["points"] = [list(p) for p in d.points]
     doc["cone"] = [list(g) for g in d.cone_gens]
@@ -245,11 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write seeded random instances")
     p.add_argument("--kind", choices=("product", "bt", "near_t"), required=True)
-    p.add_argument("--rows", type=int, default=3)
-    p.add_argument("--cols", type=int, default=3)
-    p.add_argument("--sigma", type=float, default=3.0)
-    p.add_argument("--t", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    # no defaults here, as for bench: GenSpec holds them
+    p.add_argument("--rows", type=int)
+    p.add_argument("--cols", type=int)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--t", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--outdir", default=".")
     p.set_defaults(fn=cmd_generate)
@@ -269,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagram", help="emit the plane diagram of a matrix")
     p.add_argument("input")
     p.add_argument("--canonical", action="store_true", help="emit the canonical form and transform")
-    p.add_argument("--r", type=int, choices=(1, 2), default=1)
+    p.add_argument("--r", type=int, choices=(1, 2), help="canonization index (needs --canonical)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_diagram)
 

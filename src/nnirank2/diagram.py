@@ -45,7 +45,7 @@ class Diagram:
 
 
 @dataclass(frozen=True)
-class CanonicalDiagram:
+class CanonicalDiagram(Diagram):
     """A Diagram normalized so the cone is spanned by (1,0) and (c,d), 0<=c<d.
 
     ``transform`` is the 2x2 unimodular map sending the pre-canonical
@@ -53,21 +53,8 @@ class CanonicalDiagram:
     ``canon_index`` records which cone generator (1 or 2) went to (1, 0).
     """
 
-    diagram: Diagram
     transform: np.ndarray
     canon_index: int
-
-    @property
-    def points(self) -> tuple[Vec2, ...]:
-        return self.diagram.points
-
-    @property
-    def cone_gens(self) -> tuple[Vec2, Vec2]:
-        return self.diagram.cone_gens
-
-    @property
-    def basis(self) -> np.ndarray:
-        return self.diagram.basis
 
 
 def _column_lattice(rows) -> tuple[list[Vec2], list[Vec2]]:
@@ -223,13 +210,12 @@ def canonicalize(d: Diagram, r: int = 1) -> CanonicalDiagram:
     (t00, t01), (t10, t11) = T
     det = t00 * t11 - t01 * t10  # +-1, as T sends the primitive g to (1, 0)
     inv_t = ((det * t11, -det * t10), (-det * t01, det * t00))  # (T^-1)^T = det * adj(T)^T
-    inner = Diagram(
+    return CanonicalDiagram(
         basis=np.array([_apply(inv_t, row) for row in d.basis.tolist()], dtype=object),
         points=tuple(_apply(T, p) for p in d.points),
         cone_gens=((1, 0), new_other),
-    )
-    return CanonicalDiagram(
-        diagram=inner, transform=np.array(T, dtype=object), canon_index=r
+        transform=np.array(T, dtype=object),
+        canon_index=r,
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Vec2, as_int_matrix
+from .linalg import Vec2, _pivot, as_int_matrix
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,6 @@ def dgauss2(sigma: float, center: Vec2, rng: np.random.Generator) -> Vec2:
     return (dgauss1(sigma, center[0], rng), dgauss1(sigma, center[1], rng))
 
 
-def _rank2_pairs(vecs: list[Vec2]) -> bool:
-    p0 = next((p for p in vecs if p != (0, 0)), None)
-    if p0 is None:
-        return False
-    return any(p0[0] * q[1] - p0[1] * q[0] != 0 for q in vecs)
-
-
 def gen_product(
     rows: int,
     cols: int,
@@ -114,7 +107,7 @@ def gen_product(
             q = dgauss2(sigma, (0, 0), rng)
             if q != (0, 0) and all(q[0] * c[0] + q[1] * c[1] >= 0 for c in ccols):
                 brows.append(q)
-        if _rank2_pairs(ccols) and _rank2_pairs(brows):
+        if _pivot(ccols) is not None and _pivot(brows) is not None:
             break
     B = as_int_matrix([[q[0], q[1]] for q in brows])
     C = as_int_matrix([[c[0] for c in ccols], [c[1] for c in ccols]])
@@ -148,7 +141,7 @@ def gen_near_t(
             x, y = dgauss2(2.0, (t, t), rng)
             if 0 <= y <= 2 * x:
                 pts.append((x, y))
-        if _rank2_pairs(pts):
+        if _pivot(pts) is not None:
             break
     return as_int_matrix(
         [

@@ -1,7 +1,7 @@
 """Plain-text matrix files: one row per line, space-separated integers.
 
-Lines starting with '#' and blank lines are ignored on input; output never
-contains them unless a comment block is passed explicitly.
+Lines starting with '#' and blank lines are ignored on input and never
+written.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ def format_matrix(M) -> str:
     return "\n".join(" ".join(str(int(x)) for x in row) for row in M) + "\n"
 
 
-def write_matrix(path: str | os.PathLike, M, comments: list[str] | None = None) -> None:
+def write_matrix(path: str | os.PathLike, M) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_matrix(M))
-        for line in comments or []:
-            fh.write(f"# {line}\n")

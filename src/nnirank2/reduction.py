@@ -13,8 +13,6 @@ a 3 x 3 matrix deciding the original instance.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +31,7 @@ from .linalg import (
     as_int_vector,
     cross2,
     ext_gcd,
+    primitive_point,
     rank_exact,
 )
 
@@ -67,9 +66,6 @@ class EquivalenceReport:
     def ok(self) -> bool:
         return self.row_space and self.row_lattice and self.cone
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.ok
-
 
 def _row_lattice(rows, B: list[Vec2], piv: Pivot) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reduced basis of the lattice the rows generate, from A's column frame.
@@ -103,9 +99,8 @@ def row_lattice_basis(A) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _generation_certificate(coords: list[Vec2]) -> bool:
-    # The vectors generate the full lattice iff the gcd of all 2x2
-    # determinants of their coordinate pairs is 1.
-    return math.gcd(*(cross2(p, q) for p, q in itertools.combinations(coords, 2))) == 1
+    # the coordinates generate the whole row lattice iff they generate Z^2
+    return _hermite2(coords) == ((1, 0), (0, 1))
 
 
 def build_3xm(A) -> tuple[np.ndarray, StageTrace]:
@@ -130,8 +125,7 @@ def build_3xm(A) -> tuple[np.ndarray, StageTrace]:
         c = _int_coords(lattice, lattice_piv, row)
         if c is None:
             raise RuntimeError("internal error: a row is outside the row lattice")
-        g = math.gcd(*c)
-        return (c[0] // g, c[1] // g)
+        return primitive_point(c)
 
     c1 = p, q = primitive_coords(rows[i1])
     c2 = primitive_coords(rows[i2])
@@ -157,12 +151,10 @@ def build_3xm(A) -> tuple[np.ndarray, StageTrace]:
         raise RuntimeError("internal error: b1, b2, b3 do not generate the row lattice")
 
     primitivized = False
-    g3 = math.gcd(*c3)
-    if g3 != 1:
-        c3p = (c3[0] // g3, c3[1] // g3)
-        if _generation_certificate([c1, c2, c3p]):
-            c3 = c3p
-            primitivized = True
+    c3p = primitive_point(c3)
+    if c3p != c3 and _generation_certificate([c1, c2, c3p]):
+        c3 = c3p
+        primitivized = True
 
     out = [[u * s + v * t for s, t in lattice] for u, v in (c1, c2, c3)]
     if any(e < 0 for row in out for e in row):

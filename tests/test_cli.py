@@ -103,6 +103,17 @@ def test_reduce_m55(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_reduce_trace_same_text_to_stdout_and_file(tmp_path, capsys):
+    path = write(tmp_path, "m.txt", M55)
+    out_path = tmp_path / "red.txt"
+    assert main(["reduce", path, "--trace"]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["reduce", path, "--trace", "--output", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_path.read_text() == stdout
+    assert "\n# stage 2 row-lattice basis:" in stdout
+
+
 def test_reduce_verdict_preserved_3x3(tmp_path, capsys):
     path = write(tmp_path, "b.txt", BEASLEY)
     rc = main(["reduce", path])
@@ -261,6 +272,19 @@ def test_bench_flag_its_suite_does_not_read_exit2(suite, flag, capsys):
     assert f"the {suite} suite does not read {flag}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "kind, flag", [("product", "--t"), ("bt", "--seed"), ("near_t", "--rows")]
+)
+def test_generate_flag_its_kind_does_not_read_exit2(kind, flag, tmp_path, capsys):
+    outdir = tmp_path / "out"
+    rc = main(["generate", "--kind", kind, flag, "5", "--outdir", str(outdir)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"the {kind} kind does not read {flag}" in captured.err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("tmax", ["0", "-3"])
 def test_bench_bt_tmax_below_one_exit2(tmax, capsys):
     rc = main(["bench", "--suite", "bt", "--tmax", tmax])
@@ -360,6 +384,15 @@ def test_diagram_identity_text(tmp_path, capsys):
     assert rc == 0
     assert "basis:" in out and "points:" in out and "cone:" in out
     assert "transform:" not in out
+
+
+def test_diagram_r_without_canonical_exit2(tmp_path, capsys):
+    path = write(tmp_path, "b.txt", BEASLEY)
+    rc = main(["diagram", path, "--r", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--canonical" in captured.err and "--r" in captured.err
 
 
 def test_diagram_rank1_exit2(tmp_path, capsys):

@@ -196,7 +196,7 @@ def test_canonicalize_invariants_random():
             assert g1 == (1, 0)
             assert 0 <= g2[0] < g2[1]
             assert gcd(g2[0], g2[1]) == 1
-            assert reconstructs(A, cd.diagram)
+            assert reconstructs(A, cd)
             # membership is preserved point by point
             for p, q in zip(d.points, cd.points):
                 assert in_cone(p, *d.cone_gens) == in_cone(q, *cd.cone_gens)
