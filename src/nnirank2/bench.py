@@ -13,9 +13,7 @@ import io
 import time
 from dataclasses import astuple, dataclass, fields
 
-import numpy as np
-
-from .instances import gen_bt, gen_near_t, gen_product
+from .instances import gen_bt, gen_near_t, gen_product, seeded_rng
 from .reduction import reduce_to_3x3
 from .solver import RANK2, solve
 
@@ -151,13 +149,15 @@ def run_near_t(count: int = 1000, seed: int = 0) -> list[BenchRecord]:
     """One record per matrix, t drawn uniformly from [3, 100]."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = np.random.default_rng([seed, 999])
+    rng = seeded_rng([seed, 999])
     ts = [int(rng.integers(3, 101)) for _ in range(count)]
     return [_single(t, gen_near_t(t, seed=[seed, i])) for i, t in enumerate(ts)]
 
 
-def records_to_csv(records: list[BenchRecord], with_reduce: bool = False) -> str:
-    cols = slice(None if with_reduce else -2)
+def records_to_csv(records: list[BenchRecord]) -> str:
+    """CSV of the records; table2's reduce columns only when they are set."""
+    reduce_cols = any(rec.reduce_seconds is not None for rec in records)
+    cols = slice(None if reduce_cols else -2)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow([f.name for f in fields(BenchRecord)][cols])

@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import bench
 from .diagram import build_diagram, canonicalize
-from .instances import GenSpec, generate
+from .instances import gen_bt, gen_near_t, gen_product
 from .matrixio import format_matrix, load_matrix, write_matrix
 from .oracle import brute_force
 from .reduction import ReductionTrace, reduce_to_3x3
@@ -125,27 +124,32 @@ def _read_flags(args, flags, reads, owner: str) -> dict:
     return given
 
 
-# the GenSpec fields each kind reads; GenSpec holds their defaults
+# each kind's generator of instance i, and the flags it reads with their
+# defaults; instance i draws from an independent stream derived from (seed, i)
 _KINDS = {
-    "product": ("rows", "cols", "sigma", "seed"),
-    "bt": ("t",),
-    "near_t": ("t", "seed"),
+    "product": (
+        lambda i, rows, cols, sigma, seed: gen_product(rows, cols, sigma, seed=(seed, i))[2],
+        {"rows": 3, "cols": 3, "sigma": 3.0, "seed": 0},
+    ),
+    "bt": (lambda i, t: gen_bt(t), {"t": 4}),
+    "near_t": (lambda i, t, seed: gen_near_t(t, seed=(seed, i)), {"t": 4, "seed": 0}),
 }
 
 
 def cmd_generate(args) -> int:
+    gen, defaults = _KINDS[args.kind]
     flags = ("rows", "cols", "sigma", "t", "seed")
-    given = _read_flags(args, flags, _KINDS[args.kind], f"the {args.kind} kind")
-    spec = GenSpec(kind=args.kind, **given)
-    spec.validate()
+    params = defaults | _read_flags(args, flags, defaults, f"the {args.kind} kind")
     if args.count < 1:
         raise ValueError("count must be at least 1")
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
-        # instance i draws from an independent stream derived from (seed, i)
-        path = outdir / f"{spec.kind}_{spec.seed}_{i}.txt"
-        write_matrix(path, generate(replace(spec, seed=(spec.seed, i))))
+        A = gen(i, **params)
+        # made after instance 0, so a bad parameter leaves no directory behind
+        outdir.mkdir(parents=True, exist_ok=True)
+        # bt reads no seed; its file names keep a 0 in the seed's place
+        path = outdir / f"{args.kind}_{params.get('seed', 0)}_{i}.txt"
+        write_matrix(path, A)
         print(path)
     return 0
 
@@ -169,7 +173,7 @@ def cmd_bench(args) -> int:
     flags = ("count", "seed", "tmax", "n", "sigma")
     given = _read_flags(args, flags, reads, f"the {args.suite} suite")
     records = run(**{reads[k]: v for k, v in given.items()})
-    csv_text = bench.records_to_csv(records, with_reduce=args.suite == "table2")
+    csv_text = bench.records_to_csv(records)
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")
     else:
@@ -177,39 +181,37 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _diagram_doc(args, A) -> tuple[dict, list[str]]:
+def _diagram_doc(args, A) -> dict:
     reads = ("r",) if args.canonical else ()
     canon = _read_flags(args, ("r",), reads, "diagram without --canonical")
     d = build_diagram(A)
-    doc: dict = {}
-    lines: list[str] = []
     if args.canonical:
         d = cd = canonicalize(d, **canon)
-    doc["basis"] = d.basis.tolist()
-    doc["points"] = [list(p) for p in d.points]
-    doc["cone"] = [list(g) for g in d.cone_gens]
-    lines.append("basis:")
-    lines.append(format_matrix(d.basis).rstrip("\n"))
-    lines.append("points:")
-    lines.extend(f"{p[0]} {p[1]}" for p in d.points)
-    lines.append("cone:")
-    lines.extend(f"{g[0]} {g[1]}" for g in d.cone_gens)
+    doc = {
+        "basis": d.basis.tolist(),
+        "points": [list(p) for p in d.points],
+        "cone": [list(g) for g in d.cone_gens],
+    }
     if args.canonical:
         doc["transform"] = cd.transform.tolist()
         doc["canon_index"] = cd.canon_index
-        lines.append("transform:")
-        lines.append(format_matrix(cd.transform).rstrip("\n"))
-        lines.append(f"canon_index: {cd.canon_index}")
-    return doc, lines
+    return doc
 
 
 def cmd_diagram(args) -> int:
     A = load_matrix(args.input)
-    doc, lines = _diagram_doc(args, A)
+    doc = _diagram_doc(args, A)
     if args.json:
         print(json.dumps(doc))
-    else:
-        print("\n".join(lines))
+        return 0
+    # the same document as text: a heading line per matrix, then its rows
+    for key, value in doc.items():
+        if isinstance(value, list):
+            print(f"{key}:")
+            for row in value:
+                print(" ".join(map(str, row)))
+        else:
+            print(f"{key}: {value}")
     return 0
 
 
@@ -256,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write seeded random instances")
     p.add_argument("--kind", choices=("product", "bt", "near_t"), required=True)
-    # no defaults here, as for bench: GenSpec holds them
+    # no defaults here, as for bench: _KINDS holds them
     p.add_argument("--rows", type=int)
     p.add_argument("--cols", type=int)
     p.add_argument("--sigma", type=float)

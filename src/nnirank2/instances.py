@@ -14,44 +14,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import Vec2, _pivot, as_int_matrix
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    kind: str  # "product" | "bt" | "near_t"
-    rows: int = 3
-    cols: int = 3
-    sigma: float = 3.0
-    t: int = 4
-    seed: int | tuple[int, ...] = 0  # an int, or entropy for numpy's SeedSequence
-
-    def validate(self) -> None:
-        if self.kind == "product":
-            _check_product(self.rows, self.cols, self.sigma)
-        elif self.kind in _T_MIN:
-            _check_t(self.kind, self.t)
-        else:
-            raise ValueError(f"unknown instance kind {self.kind!r}")
-
-
-_T_MIN = {"bt": 1, "near_t": 3}
-
-
-def _check_product(rows: int, cols: int, sigma: float) -> None:
-    if rows < 2 or cols < 2:
-        raise ValueError("product instances need rows >= 2 and cols >= 2")
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError("sigma must be positive")
-
-
-def _check_t(kind: str, t: int) -> None:
-    if t < _T_MIN[kind]:
-        raise ValueError(f"{kind} instances need t >= {_T_MIN[kind]}")
+def seeded_rng(seed) -> np.random.Generator:
+    """numpy's Generator for ``seed``: None (fresh entropy), an int >= 0,
+    or a sequence of them (entropy for numpy's SeedSequence)."""
+    try:
+        return np.random.default_rng(seed)
+    except ValueError:
+        raise ValueError("seed must be nonnegative") from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -93,9 +68,16 @@ def gen_product(
     samples lying in the dual cone of the columns (boundary allowed).  The
     whole instance is resampled until both factors have rank 2.
     """
-    _check_product(rows, cols, sigma)
+    if rows < 2 or cols < 2:
+        raise ValueError("product instances need rows >= 2 and cols >= 2")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError("sigma must be positive")
+    if sigma < 0.5:
+        # nearly every draw is then the origin, which is resampled: a 3 x 3
+        # takes seconds at sigma = 0.2 and never returns at 0.01
+        raise ValueError("sigma must be at least 1/2")
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
     while True:
         ccols: list[Vec2] = []
         while len(ccols) < cols:
@@ -116,7 +98,8 @@ def gen_product(
 
 def gen_bt(t: int) -> np.ndarray:
     """The 3 x 3 matrix with rows (t+1, t, t-1), (t, t, t), (t-1, t, t+1)."""
-    _check_t("bt", t)
+    if t < 1:
+        raise ValueError("bt instances need t >= 1")
     return as_int_matrix([[t + 1, t, t - 1], [t, t, t], [t - 1, t, t + 1]])
 
 
@@ -132,9 +115,10 @@ def gen_near_t(
     2x - y; the rows therefore satisfy row3 = 2*row1 - row2 exactly and all
     entries are nonnegative.  Resamples until the matrix has rank 2.
     """
-    _check_t("near_t", t)
+    if t < 3:
+        raise ValueError("near_t instances need t >= 3")
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
     while True:
         pts: list[Vec2] = []
         while len(pts) < 3:
@@ -151,13 +135,3 @@ def gen_near_t(
         ]
     )
 
-
-def generate(spec: GenSpec) -> np.ndarray:
-    """Materialize the matrix described by a GenSpec."""
-    spec.validate()
-    if spec.kind == "product":
-        _, _, A = gen_product(spec.rows, spec.cols, spec.sigma, seed=spec.seed)
-        return A
-    if spec.kind == "bt":
-        return gen_bt(spec.t)
-    return gen_near_t(spec.t, seed=spec.seed)

@@ -413,22 +413,3 @@ def _lagrange_gauss(b1: tuple[int, ...], b2: tuple[int, ...]) -> tuple[tuple[int
     cands = [b1, b2, tuple(y - x for x, y in zip(b1, b2)), tuple(y + x for x, y in zip(b1, b2))]
     (_, v1), (_, v2) = sorted((_dot(v, v), v) for v in map(_sign_normalized, cands))[:2]
     return v1, v2
-
-
-def reduce_basis_rank2(v1, v2) -> tuple[np.ndarray, np.ndarray]:
-    """Lagrange-Gauss reduction of a rank-2 lattice basis in Z^k.
-
-    Returns (a1, a2) generating the same lattice as (v1, v2), with
-    ||a1|| <= ||a2|| and ||a2 +- a1|| >= ||a2||.  The output is canonical:
-    a1 is the smallest shortest vector and a2 the smallest shortest vector
-    independent of it, both by (squared norm, tuple) with the first nonzero
-    entry positive, so every basis of one lattice gives the same result.
-    """
-    b1 = tuple(as_int_vector(v1))
-    b2 = tuple(as_int_vector(v2))
-    if len(b1) != len(b2):
-        raise ValueError("basis vectors must have equal length")
-    if _pivot(list(zip(b1, b2))) is None:
-        raise ValueError("basis vectors must be linearly independent")
-    return tuple(as_int_vector(v) for v in _lagrange_gauss(b1, b2))
-

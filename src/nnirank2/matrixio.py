@@ -1,4 +1,5 @@
-"""Plain-text matrix files: one row per line, space-separated integers.
+"""Plain-text matrix files: one row per line, space-separated base-10
+integers (an optional sign, then ASCII digits).
 
 Lines starting with '#' and blank lines are ignored on input and never
 written.
@@ -7,6 +8,7 @@ written.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
@@ -19,10 +21,12 @@ def parse_matrix(text: str) -> np.ndarray:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        try:
-            rows.append([int(tok) for tok in stripped.split()])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+        tokens = stripped.split()
+        for tok in tokens:
+            # int() alone would also take "1_0" and non-ASCII digits such as "\u0663"
+            if not re.fullmatch(r"[+-]?[0-9]+", tok):
+                raise ValueError(f"line {lineno}: {tok!r} is not a base-10 integer")
+        rows.append([int(tok) for tok in tokens])
     if not rows:
         raise ValueError("no matrix rows found")
     return as_int_matrix(rows)

@@ -90,17 +90,12 @@ def row_lattice_basis(A) -> tuple[np.ndarray, np.ndarray]:
 
     This is the lattice spanned by the rows themselves, not its saturation:
     the Hermite form of the rows projected on two independent columns,
-    lifted back and reduced by :func:`~nnirank2.linalg.reduce_basis_rank2`'s
-    canonical rule.  Raises ValueError unless A has rank 2.
+    lifted back and reduced by the canonical Lagrange-Gauss rule of
+    ``linalg._lagrange_gauss``.  Raises ValueError unless A has rank 2.
     """
     rows = as_int_matrix(A).tolist()
     B, piv, _ = _column_frame(rows)
     return tuple(as_int_vector(a) for a in _row_lattice(rows, B, piv))
-
-
-def _generation_certificate(coords: list[Vec2]) -> bool:
-    # the coordinates generate the whole row lattice iff they generate Z^2
-    return _hermite2(coords) == ((1, 0), (0, 1))
 
 
 def build_3xm(A) -> tuple[np.ndarray, StageTrace]:
@@ -147,12 +142,13 @@ def build_3xm(A) -> tuple[np.ndarray, StageTrace]:
         # any positive combination restores a valid third row
         m1, m2 = m1 + 1, m2 + 1
         c3 = (p + c2[0], q + c2[1])
-    if not _generation_certificate([c1, c2, c3]):
+    # coordinates generate the whole row lattice iff they generate Z^2
+    if _hermite2([c1, c2, c3]) != ((1, 0), (0, 1)):
         raise RuntimeError("internal error: b1, b2, b3 do not generate the row lattice")
 
     primitivized = False
     c3p = primitive_point(c3)
-    if c3p != c3 and _generation_certificate([c1, c2, c3p]):
+    if c3p != c3 and _hermite2([c1, c2, c3p]) == ((1, 0), (0, 1)):
         c3 = c3p
         primitivized = True
 

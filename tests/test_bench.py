@@ -24,7 +24,7 @@ def test_run_table2_has_reduce_columns():
     assert len(recs) == 1
     assert recs[0].reduce_seconds is not None
     assert recs[0].reduced_factor_seconds is not None
-    text = records_to_csv(recs, with_reduce=True)
+    text = records_to_csv(recs)
     assert text.splitlines()[0].endswith("reduce_seconds,reduced_factor_seconds")
 
 
@@ -74,9 +74,7 @@ PINNED_CSV = {
 def test_csv_non_timing_columns_are_pinned():
     runs = {
         "table1": records_to_csv(run_table1(count=3, seed=1, ns=[3, 5], sigmas=[3, 6])),
-        "table2": records_to_csv(
-            run_table2(count=2, seed=1, ns=[10], sigmas=[3, 6]), with_reduce=True
-        ),
+        "table2": records_to_csv(run_table2(count=2, seed=1, ns=[10], sigmas=[3, 6])),
         "bt": records_to_csv(run_bt(tmax=5)),
         "near_t": records_to_csv(run_near_t(count=4, seed=3)),
     }

@@ -73,6 +73,41 @@ def test_factor_rank1_exit0(tmp_path, capsys):
     assert prod.tolist() == [[2, 4], [1, 2]]
 
 
+# factor's text output, exactly: the not_rank2 rejection, the rank2 factors
+# and the rank <= 1 factors
+FACTOR_TEXT = [
+    (
+        BEASLEY,
+        ["--explain"],
+        "verdict: not_rank2\n"
+        "pairs_examined: 1\n"
+        "rejected a=(1, 0) b=(1, 2): point 2 has coefficients (5/2, 3/2)\n",
+    ),
+    (
+        [[1, 0, 1], [0, 1, 1]],
+        [],
+        "verdict: rank2\n"
+        "pairs_examined: 1\n"
+        "generators: a=(1, 0) b=(0, 1)\n"
+        "F1:\n0 1\n1 0\n"
+        "F2:\n0 1 1\n1 0 1\n",
+    ),
+    (
+        [[2, 4], [1, 2]],
+        [],
+        "verdict: rank_le_1\npairs_examined: 0\nF1:\n2\n1\nF2:\n1 2\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("rows, flags, text", FACTOR_TEXT)
+def test_factor_text_is_pinned(tmp_path, capsys, rows, flags, text):
+    path = write(tmp_path, "m.txt", rows)
+    rc = main(["factor", path, *flags])
+    assert capsys.readouterr().out == text
+    assert rc == (1 if "not_rank2" in text else 0)
+
+
 def test_factor_errors(tmp_path, capsys):
     ragged = tmp_path / "bad.txt"
     ragged.write_text("1 2\n3\n")
@@ -314,6 +349,38 @@ def test_generate_sigma_inf_exit2(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_generate_sigma_below_one_half_exit2(tmp_path):
+    # sigma = 0.01 used to hang the sampler, so run the CLI in a child process
+    outdir = tmp_path / "tiny"
+    argv = ["generate", "--kind", "product", "--sigma", "0.01", "--outdir", str(outdir)]
+    proc = run_python("-m", "nnirank2.cli", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "sigma must be at least 1/2" in proc.stderr
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("kind", ["product", "near_t"])
+def test_generate_negative_seed_exit2(kind, tmp_path, capsys):
+    outdir = tmp_path / "negseed"
+    rc = main(["generate", "--kind", kind, "--seed", "-1", "--outdir", str(outdir)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "seed must be nonnegative" in captured.err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("suite", ["table1", "table2", "near_t"])
+def test_bench_negative_seed_exit2(suite, capsys):
+    grid = [] if suite == "near_t" else ["--n", "10", "--sigma", "3"]
+    rc = main(["bench", "--suite", suite, "--count", "1", "--seed", "-1", *grid])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "seed must be nonnegative" in captured.err
+
+
 @pytest.mark.parametrize("sigma", ["0", "-3"])
 def test_bench_sigma_not_positive_exit2(sigma):
     # sigma = 0 used to hang the sampler, so run the CLI in a child process
@@ -384,6 +451,23 @@ def test_diagram_identity_text(tmp_path, capsys):
     assert rc == 0
     assert "basis:" in out and "points:" in out and "cone:" in out
     assert "transform:" not in out
+
+
+@pytest.mark.parametrize(
+    "flags, text",
+    [
+        ([], "basis:\n2 -1\n1 0\n1 1\npoints:\n1 0\n1 2\n4 5\ncone:\n1 2\n1 -1\n"),
+        (
+            ["--canonical"],
+            "basis:\n0 1\n1 0\n3 -1\npoints:\n1 2\n1 0\n4 3\ncone:\n1 0\n1 3\n"
+            "transform:\n1 0\n2 -1\ncanon_index: 1\n",
+        ),
+    ],
+)
+def test_diagram_text_is_pinned(tmp_path, capsys, flags, text):
+    path = write(tmp_path, "b.txt", BEASLEY)
+    assert main(["diagram", path, *flags]) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_diagram_r_without_canonical_exit2(tmp_path, capsys):

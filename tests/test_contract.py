@@ -48,13 +48,24 @@ def test_malformed_shapes_raise_value_error(bad):
         as_int_matrix(bad)
 
 
-@pytest.mark.parametrize("text", ["1.5 0\n0 1\n", "True 0\n0 1\n", "1 0\n0 x\n"])
+# each text and the line of its first bad token; "1_0" and the Arabic-Indic
+# digit three are ints to int(), but not base-10 integers in ASCII
+BAD_TEXTS = {
+    "1.5 0\n0 1\n": 1,
+    "True 0\n0 1\n": 1,
+    "1 0\n0 x\n": 2,
+    "1_0 0\n0 1\n": 1,
+    "1 0\n0 \u0663\n": 2,
+}
+
+
+@pytest.mark.parametrize("text", list(BAD_TEXTS))
 @pytest.mark.parametrize("command", ["factor", "reduce", "diagram"])
 def test_cli_exits_2_on_non_integer_entries(tmp_path, capsys, text, command):
     path = tmp_path / "m.txt"
     path.write_text(text, encoding="utf-8")
     assert main([command, str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith(f"error: line {BAD_TEXTS[text]}:")
 
 
 

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import run_python
-from nnirank2.instances import (
-    GenSpec,
-    dgauss2,
-    gen_bt,
-    gen_near_t,
-    gen_product,
-    generate,
-)
+from nnirank2.instances import dgauss2, gen_bt, gen_near_t, gen_product
 from nnirank2.linalg import rank_exact
 from nnirank2.matrixio import format_matrix
 
@@ -73,6 +66,22 @@ def test_gen_product_rejects_sigma_not_positive():
     assert proc.stdout.splitlines() == ["sigma must be positive"] * 5
 
 
+def test_gen_product_rejects_sigma_below_one_half():
+    # 0 < sigma < 1/2 draws almost only the origin: gen_product(3, 3, 0.01)
+    # never returned
+    proc = run_python(
+        "-c",
+        "from nnirank2.instances import gen_product\n"
+        "for s in (0.01, 0.2, 0.49):\n"
+        "    try:\n"
+        "        gen_product(3, 3, s, seed=0)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+        "print(gen_product(3, 3, 0.5, seed=0)[2].shape)\n"
+    )
+    assert proc.stdout.splitlines() == ["sigma must be at least 1/2"] * 3 + ["(3, 3)"]
+
+
 def test_gen_bt():
     assert gen_bt(4).tolist() == [[5, 4, 3], [4, 4, 4], [3, 4, 5]]
     assert gen_bt(1).tolist() == [[2, 1, 0], [1, 1, 1], [0, 1, 2]]
@@ -93,8 +102,8 @@ def test_gen_near_t_properties():
 
 
 def test_seeded_determinism():
-    a = generate(GenSpec(kind="product", rows=3, cols=3, sigma=3.0, seed=7))
-    b = generate(GenSpec(kind="product", rows=3, cols=3, sigma=3.0, seed=7))
+    _, _, a = gen_product(3, 3, 3.0, seed=7)
+    _, _, b = gen_product(3, 3, 3.0, seed=7)
     assert format_matrix(a) == format_matrix(b)
     c = gen_near_t(30, seed=9)
     d = gen_near_t(30, seed=9)
@@ -112,14 +121,3 @@ def test_sigma_monotonicity():
         medians.append(vals[100])
     assert medians == sorted(medians)
     assert medians[0] < medians[-1]
-
-
-def test_genspec_validation():
-    with pytest.raises(ValueError):
-        GenSpec(kind="nope").validate()
-    with pytest.raises(ValueError):
-        GenSpec(kind="product", rows=1).validate()
-    with pytest.raises(ValueError):
-        GenSpec(kind="bt", t=0).validate()
-    with pytest.raises(ValueError):
-        GenSpec(kind="near_t", t=2).validate()

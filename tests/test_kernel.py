@@ -13,7 +13,7 @@ from conftest import same_lattice
 from nnirank2 import linalg
 from nnirank2.diagram import column_lattice_basis
 from nnirank2.instances import gen_bt, gen_near_t, gen_product
-from nnirank2.linalg import det_exact, rank_exact, reduce_basis_rank2, smith_normal_form
+from nnirank2.linalg import _lagrange_gauss, det_exact, rank_exact, smith_normal_form
 from nnirank2.reduction import reduce_to_3x3, row_lattice_basis
 from nnirank2.solver import RANK2, solve
 
@@ -70,8 +70,7 @@ def unimodular_twist(v1, v2, rng):
 
 
 def reduced(v1, v2):
-    a1, a2 = reduce_basis_rank2(v1, v2)
-    return tuple(a1), tuple(a2)
+    return _lagrange_gauss(tuple(v1), tuple(v2))
 
 
 def test_reduce_basis_rank2_is_canonical():
