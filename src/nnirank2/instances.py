@@ -20,6 +20,10 @@ import numpy as np
 from .linalg import Vec2, _pivot, as_int_matrix
 
 
+# the largest sigma gen_product accepts; the suites use at most 25
+SIGMA_MAX = 100_000
+
+
 def seeded_rng(seed) -> np.random.Generator:
     """numpy's Generator for ``seed``: None (fresh entropy), an int >= 0,
     or a sequence of them (entropy for numpy's SeedSequence)."""
@@ -30,11 +34,12 @@ def seeded_rng(seed) -> np.random.Generator:
 
 
 @functools.lru_cache(maxsize=None)
-def _dgauss1_table(sigma: float, center: int):
-    # support truncated at center +- 12 sigma; mass beyond is < exp(-72)
+def _dgauss1_table(sigma: float):
+    # offsets from the center, truncated at +- 12 sigma; mass beyond is
+    # < exp(-72).  Offsets keep the table small integers for any center.
     radius = max(1, math.ceil(12 * sigma))
-    ks = np.arange(center - radius, center + radius + 1)
-    w = np.exp(-((ks - center) ** 2) / (2.0 * sigma * sigma))
+    ks = np.arange(-radius, radius + 1)
+    w = np.exp(-(ks**2) / (2.0 * sigma * sigma))
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
     return ks, cdf
@@ -42,8 +47,8 @@ def _dgauss1_table(sigma: float, center: int):
 
 def dgauss1(sigma: float, center: int, rng: np.random.Generator) -> int:
     """One sample of the discrete Gaussian on Z, weight exp(-(k-c)^2/2s^2)."""
-    ks, cdf = _dgauss1_table(float(sigma), int(center))
-    return int(ks[np.searchsorted(cdf, rng.random(), side="right")])
+    ks, cdf = _dgauss1_table(float(sigma))
+    return int(center) + int(ks[np.searchsorted(cdf, rng.random(), side="right")])
 
 
 def dgauss2(sigma: float, center: Vec2, rng: np.random.Generator) -> Vec2:
@@ -76,6 +81,10 @@ def gen_product(
         # nearly every draw is then the origin, which is resampled: a 3 x 3
         # takes seconds at sigma = 0.2 and never returns at 0.01
         raise ValueError("sigma must be at least 1/2")
+    if sigma > SIGMA_MAX:
+        # the sampler's table holds 24 sigma + 1 entries: 2.4 M at the cap,
+        # terabytes at sigma = 1e12
+        raise ValueError(f"sigma must be at most {SIGMA_MAX}")
     if rng is None:
         rng = seeded_rng(seed)
     while True:

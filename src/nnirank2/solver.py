@@ -192,6 +192,14 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     the full check over every point; it still counts in ``pairs_examined``.
     Under ``collect_rejections`` every pair gets the full check, so each
     rejection is recorded with its first failing point and coefficients.
+
+    A cheaper necessary test, one modulo per pair, runs in front of it.
+    In column x the pair from k*a = (x, y) has cross(a, b) = C/(g1*g2),
+    with C = cross(k*a, u_point) > 0, g1 = gcd(x, y) and g2 = gcd(dx, dy)
+    for (dx, dy) = u_point - k*a.  As g1 | x and g2 | dx, C/(g1*g2) | G
+    implies C | N = G*x*dx, which is fixed for the column; a pair with
+    N % C != 0 is one the index test rejects.  Where dx == 0 no such N
+    exists and every pair goes on to the index test.
     """
     dec = decompose(cd)
     points = cd.points
@@ -219,13 +227,20 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
                 raise RuntimeError("internal error: u_point is not its column's top")
             hi -= 1
         dx = ux - x
-        for y in range(lo, hi + 1):
+        top = x * uy
+        # 0 sends every pair on: under collect_rejections, and where dx == 0
+        N = G * x * dx if prune else 0
+        # C = cross(k*a, u_point) = x*uy - y*ux for y = lo, ..., hi
+        for C in range(top - lo * ux, top - hi * ux - 1, -ux):
+            if N % C:
+                continue
             # a = k*a / g1 and b = (u_point - k*a) / g2, so
-            # cross(a, b) = cross(k*a, u_point) / (g1*g2) > 0
+            # cross(a, b) = C / (g1*g2) > 0
+            y = (top - C) // ux
             g1 = gcd(x, y)
             dy = uy - y
             g2 = gcd(dx, dy)
-            if prune and G % ((x * uy - y * ux) // (g1 * g2)):
+            if prune and G % (C // (g1 * g2)):
                 continue
             out = full_check(
                 (x // g1, y // g1), (dx // g2, dy // g2), pairs + y - lo + 1

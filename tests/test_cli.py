@@ -360,6 +360,18 @@ def test_generate_sigma_below_one_half_exit2(tmp_path):
     assert not outdir.exists()
 
 
+def test_generate_sigma_above_the_cap_exit2(tmp_path):
+    # sigma = 1e12 exited 1 with a 175 TiB allocation error; a child
+    # process keeps such an attempt out of the test runner
+    outdir = tmp_path / "big"
+    argv = ["generate", "--kind", "product", "--sigma", "1e12", "--outdir", str(outdir)]
+    proc = run_python("-m", "nnirank2.cli", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "sigma must be at most 100000" in proc.stderr
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("kind", ["product", "near_t"])
 def test_generate_negative_seed_exit2(kind, tmp_path, capsys):
     outdir = tmp_path / "negseed"

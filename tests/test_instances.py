@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import run_python
-from nnirank2.instances import dgauss2, gen_bt, gen_near_t, gen_product
+from nnirank2.instances import SIGMA_MAX, dgauss2, gen_bt, gen_near_t, gen_product
 from nnirank2.linalg import rank_exact
 from nnirank2.matrixio import format_matrix
 
@@ -80,6 +80,27 @@ def test_gen_product_rejects_sigma_below_one_half():
         "print(gen_product(3, 3, 0.5, seed=0)[2].shape)\n"
     )
     assert proc.stdout.splitlines() == ["sigma must be at least 1/2"] * 3 + ["(3, 3)"]
+
+
+def test_gen_product_rejects_sigma_above_the_cap():
+    # the sampler's table has 24 sigma + 1 entries: sigma = 1e12 tried to
+    # allocate 175 TiB
+    for s in (SIGMA_MAX * 1.5, 1e12):
+        with pytest.raises(ValueError, match=f"sigma must be at most {SIGMA_MAX}"):
+            gen_product(3, 3, s, seed=0)
+
+
+def test_gen_near_t_beyond_int64():
+    # a center beyond int64 made the sampler's table float, every point the
+    # same, and gen_near_t resample forever
+    proc = run_python(
+        "-c",
+        "from nnirank2.instances import gen_near_t\n"
+        "A = gen_near_t(10**19, seed=1)\n"
+        "print(A[2].tolist() == [2 * x - y for x, y in zip(A[0], A[1])])\n"
+        "print(all(abs(x - 10**19) <= 30 for x in A[:2].flat))\n",
+    )
+    assert proc.stdout.splitlines() == ["True", "True"]
 
 
 def test_gen_bt():

@@ -406,6 +406,22 @@ def test_index_test_prunes_full_checks_rank2(monkeypatch):
     assert calls == [(pair.a, pair.b)]
 
 
+def test_column_test_spares_the_gcds(monkeypatch):
+    # the per-column test N % C rejects nearly every pair before the two
+    # gcds of the index test; without it this solve makes 44,701 gcd calls
+    calls = []
+    gcd = solver.gcd
+
+    def counted(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(solver, "gcd", counted)
+    out = solve(gen_bt(300))
+    assert (out.verdict, out.pairs_examined) == (NOT_RANK2, 22351)
+    assert len(calls) < out.pairs_examined // 50
+
+
 def test_default_solve_matches_the_collecting_run_beyond_the_pin_corpus():
     # the pin corpus stops at bt(100) and near_t t <= 100; r alternates
     # to keep the unpruned collecting runs to a few seconds
