@@ -39,6 +39,15 @@ class BenchRecord:
     reduced_factor_seconds: float | None = None
 
 
+def _cell_seed(seed: int, n: int, sigma, i: int) -> list[int]:
+    """Seed of instance i of the grid cell (n, sigma): the cell's values,
+    not its place in the grid, so a filtered run draws the same instances
+    as the full one.  Seeds are integers, so sigma must be one."""
+    if sigma != int(sigma):
+        raise ValueError(f"grid sigmas must be integers, got {sigma}")
+    return [seed, n, int(sigma), i]
+
+
 def _timed(fn, A):
     t0 = time.perf_counter()
     out = fn(A)
@@ -99,9 +108,9 @@ def run_table1(count: int = 100, seed: int = 0, ns=None, sigmas=None) -> list[Be
     ns = tuple(ns) if ns else TABLE1_NS
     sigmas = tuple(sigmas) if sigmas else TABLE1_SIGMAS
     records = []
-    for ci, (n, sigma) in enumerate((n, s) for n in ns for s in sigmas):
+    for n, sigma in ((n, s) for n in ns for s in sigmas):
         results = [
-            _timed_solve(gen_product(n, n, sigma, seed=[seed, ci, i])[2])
+            _timed_solve(gen_product(n, n, sigma, seed=_cell_seed(seed, n, sigma, i))[2])
             for i in range(count)
         ]
         records.append(_aggregate(n, n, sigma, results))
@@ -125,10 +134,10 @@ def run_table2(count: int = 100, seed: int = 0, ns=None, sigmas=None) -> list[Be
             f"no table2 cell matches the filter; the (n, sigma) cells are {valid}"
         )
     records = []
-    for ci, (n, sigma) in enumerate(cells):
+    for n, sigma in cells:
         cell_count = min(count, 3) if n >= 300 else count
         results = [
-            _timed_solve_reduce(gen_product(n, n, sigma, seed=[seed, ci, i])[2])
+            _timed_solve_reduce(gen_product(n, n, sigma, seed=_cell_seed(seed, n, sigma, i))[2])
             for i in range(cell_count)
         ]
         rec = _aggregate(n, n, sigma, results)

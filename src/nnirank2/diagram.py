@@ -20,6 +20,7 @@ from .linalg import (
     _extremes,
     _hermite2,
     _int_coords,
+    _int_points,
     _pivot,
     as_int_matrix,
     cross2,
@@ -95,7 +96,9 @@ def point_coordinates(A, basis) -> list[Vec2]:
     piv = _pivot(brows)
     if piv is None:
         raise ValueError("basis must have rank 2")
-    pts = [_int_coords(brows, piv, col) for col in zip(*A.tolist())]
+    pts = _int_points(brows, piv, A.tolist())
+    if pts is None:  # some column is outside the span: name it
+        pts = [_int_coords(brows, piv, col) for col in zip(*A.tolist())]
     if None in pts:
         raise ValueError(f"column {pts.index(None)} has no integer coordinates in the basis")
     return pts

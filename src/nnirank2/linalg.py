@@ -5,8 +5,10 @@ so every operation is exact at any magnitude.  There is no floating point
 anywhere in this module.
 
 The private rank-2 lattice kernel (``_pivot`` to ``_lagrange_gauss``) works
-on tuples of Python ints; the Smith form is the reference it is tested
-against and runs on no solve or reduce path.
+on tuples of Python ints, except that its one span check runs as numpy
+int64 arithmetic on matrices whose entries are small enough to keep it
+exact.  The Smith form is the reference the kernel is tested against and
+runs on no solve or reduce path.
 """
 
 from __future__ import annotations
@@ -168,8 +170,15 @@ def _bareiss(M: list[list[int]]) -> tuple[int, int]:
 
 
 def rank_exact(A) -> int:
-    """Rank over the rationals, by fraction-free (Bareiss) elimination."""
-    return _bareiss(as_int_matrix(A).tolist())[0]
+    """Rank over the rationals.
+
+    The rank-2 column frame (:func:`_frame`) finds ranks 0, 1 and 2 with
+    one span check of every entry; only a rank above 2 runs fraction-free
+    (Bareiss) elimination to name it.
+    """
+    rows = as_int_matrix(A).tolist()
+    rank, _ = _frame(rows)
+    return rank if rank <= 2 else _bareiss(rows)[0]
 
 
 def det_exact(A) -> int:
@@ -309,27 +318,80 @@ def _pivot(brows: Sequence[Vec2]) -> Pivot | None:
     return None
 
 
-def _span_coords(brows: Sequence[Vec2], piv: Pivot, y: Sequence[int]) -> Vec2 | None:
-    """Numerators (n0, n1) with d * y == n0 * col0 + n1 * col1, by Cramer's
-    rule on the pivot rows; None when some row fails (y is outside the span)."""
+# The int64 span check is exact for entries in [-_INT64_SAFE, _INT64_SAFE].
+# Its fixed cost (array conversions and a dozen numpy calls) makes the
+# Python loop faster on small matrices; they break even near 300 entries:
+# 32 us against 37 us at 15 x 15, 50 us against 42 us at 20 x 20 (median
+# per check, 2-vCPU Xeon, numpy 2.4).
+_INT64_SAFE = 2**20
+_INT64_MIN_ENTRIES = 300
+
+
+def _span_numerators(brows: Sequence[Vec2], piv: Pivot, rows: Sequence[Sequence[int]]) -> list[Vec2] | None:
+    """Numerators (n0, n1) with d * y == n0 * col0 + n1 * col1 for every
+    column y of the matrix given by its rows, where col0, col1 are the
+    columns of the n x 2 basis given by its rows and piv = (i, k, d) is a
+    pivot of it; None when some entry fails (a column is outside the span).
+    Cramer's rule on rows i and k gives the numerators; the check covers
+    every entry.
+
+    This is the one span check.  It runs as numpy int64 arithmetic when the
+    matrix has at least _INT64_MIN_ENTRIES entries and every entry of it and
+    of the basis lies in [-2**20, 2**20]: then |d|, |n0|, |n1| <= 2**41, and
+    every product and sum is at most 2**62 in size, so nothing overflows.
+    Otherwise the check runs on Python ints, at any magnitude.
+    """
     i, k, d = piv
     (a0, a1), (b0, b1) = brows[i], brows[k]
-    n0 = y[i] * b1 - y[k] * a1
-    n1 = a0 * y[k] - b0 * y[i]
-    for (c0, c1), yr in zip(brows, y):
-        if c0 * n0 + c1 * n1 != d * yr:
+    M = _int64_rows(rows) if len(rows) * len(rows[0]) >= _INT64_MIN_ENTRIES else None
+    C = None if M is None else _int64_rows(brows)
+    if C is not None:
+        n0 = M[i] * b1 - M[k] * a1
+        n1 = a0 * M[k] - b0 * M[i]
+        if np.count_nonzero(C[:, :1] * n0 + C[:, 1:] * n1 != d * M):
             return None
-    return n0, n1
+        return list(zip(n0.tolist(), n1.tolist()))
+    nums = [(yi * b1 - yk * a1, a0 * yk - b0 * yi) for yi, yk in zip(rows[i], rows[k])]
+    for (c0, c1), row in zip(brows, rows):
+        for (n0, n1), y in zip(nums, row):
+            if c0 * n0 + c1 * n1 != d * y:
+                return None
+    return nums
+
+
+def _int64_rows(rows: Sequence[Sequence[int]]) -> np.ndarray | None:
+    """The rows as an int64 array when every entry lies in [-_INT64_SAFE,
+    _INT64_SAFE], else None.  The bound is tested with min and max, since
+    np.abs(-2**63) is negative."""
+    try:
+        M = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return None
+    return M if -_INT64_SAFE <= M.min() and M.max() <= _INT64_SAFE else None
+
+
+def _span_coords(brows: Sequence[Vec2], piv: Pivot, y: Sequence[int]) -> Vec2 | None:
+    """Numerators (n0, n1) with d * y == n0 * col0 + n1 * col1, or None
+    when y is outside the span."""
+    nums = _span_numerators(brows, piv, [[x] for x in y])
+    return None if nums is None else nums[0]
+
+
+def _int_points(brows: Sequence[Vec2], piv: Pivot, rows: Sequence[Sequence[int]]) -> list[Vec2 | None] | None:
+    """Integer coordinates in the basis of each column of the matrix given
+    by its rows, None for a column whose coordinates are not integers; None
+    when some column is outside the span."""
+    nums = _span_numerators(brows, piv, rows)
+    if nums is None:
+        return None
+    d = piv[2]
+    return [(n0 // d, n1 // d) if n0 % d == n1 % d == 0 else None for n0, n1 in nums]
 
 
 def _int_coords(brows: Sequence[Vec2], piv: Pivot, y: Sequence[int]) -> Vec2 | None:
     """Integer x with col0 * x[0] + col1 * x[1] == y, or None."""
-    num = _span_coords(brows, piv, y)
-    if num is None:
-        return None
-    q0, r0 = divmod(num[0], piv[2])
-    q1, r1 = divmod(num[1], piv[2])
-    return (q0, q1) if r0 == r1 == 0 else None
+    pts = _int_points(brows, piv, [[x] for x in y])
+    return None if pts is None else pts[0]
 
 
 def _hermite2(vectors) -> tuple[Vec2, Vec2]:
@@ -357,29 +419,38 @@ def _hermite2(vectors) -> tuple[Vec2, Vec2]:
     return (a, b), (0, c)
 
 
+def _frame(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[list[Vec2], Pivot, list[Vec2]] | None]:
+    """The rank a rank-2 column frame finds (0, 1, 2, or 3 for any rank
+    above 2) and, at rank 2, the frame :func:`_column_frame` returns."""
+    m = len(rows[0])
+    j0 = next((j for j in range(m) if any(row[j] for row in rows)), None)
+    if j0 is None:
+        return 0, None
+    for j1 in range(j0 + 1, m):
+        B = [(row[j0], row[j1]) for row in rows]
+        piv = _pivot(B)
+        if piv is not None:
+            break
+    else:
+        return 1, None
+    coords = _span_numerators(B, piv, rows)
+    return (3, None) if coords is None else (2, (B, piv, coords))
+
+
 def _column_frame(rows: Sequence[Sequence[int]]) -> tuple[list[Vec2], Pivot, list[Vec2]]:
     """Two independent columns of a rank-2 matrix and every column in them.
 
     Returns B (the rows of the first nonzero column and the first column
     independent of it, as 2-vectors), a pivot of B, and each column's
     coordinates in B as numerators over the pivot's minor.  Checking every
-    column is the rank test: ValueError unless the rank is exactly 2.
+    column is the rank test: ValueError, naming the rank, unless it is 2.
     """
-    cols = list(zip(*rows))
-    j0 = next((j for j, col in enumerate(cols) if any(col)), None)
-    if j0 is None:
-        raise ValueError("matrix must have rank 2, got rank 0")
-    for col in cols[j0 + 1:]:
-        B = list(zip(cols[j0], col))
-        piv = _pivot(B)
-        if piv is not None:
-            break
-    else:
-        raise ValueError("matrix must have rank 2, got rank 1")
-    coords = [_span_coords(B, piv, col) for col in cols]
-    if None in coords:
-        raise ValueError("matrix must have rank 2, got rank > 2")
-    return B, piv, coords
+    rank, frame = _frame(rows)
+    if frame is None:
+        if rank > 2:
+            rank = _bareiss([list(row) for row in rows])[0]
+        raise ValueError(f"matrix must have rank 2, got rank {rank}")
+    return frame
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:

@@ -1,6 +1,8 @@
 import csv
 import io
 
+import pytest
+
 from nnirank2.bench import (
     records_to_csv,
     run_bt,
@@ -49,17 +51,17 @@ def test_near_t_records():
 
 # The non-timing CSV columns (n, m, sigma_or_t, count, avg_largest_entry,
 # rank2_count) exactly as records_to_csv writes them for fixed seeds: a 3 x 3
-# record's largest entry is an int ("76"), a cell's average is a float ("98.0").
+# record's largest entry is an int ("76"), a cell's average is a float ("34.0").
 PINNED_CSV = {
     "table1": [
-        ["3", "3", "3", "3", "23.333333333333332", "3"],
-        ["3", "3", "6", "3", "98.0", "2"],
-        ["5", "5", "3", "3", "31.333333333333332", "3"],
-        ["5", "5", "6", "3", "114.0", "1"],
+        ["3", "3", "3", "3", "26.666666666666668", "2"],
+        ["3", "3", "6", "3", "98.33333333333333", "3"],
+        ["5", "5", "3", "3", "34.666666666666664", "3"],
+        ["5", "5", "6", "3", "106.66666666666667", "0"],
     ],
     "table2": [
-        ["10", "10", "3", "2", "35.0", "2"],
-        ["10", "10", "6", "2", "91.5", "2"],
+        ["10", "10", "3", "2", "34.0", "2"],
+        ["10", "10", "6", "2", "173.5", "1"],
     ],
     "bt": [["3", "3", str(t), "1", str(t + 1), "0"] for t in range(1, 6)],
     "near_t": [
@@ -82,3 +84,19 @@ def test_csv_non_timing_columns_are_pinned():
         rows = list(csv.reader(io.StringIO(text)))[1:]
         got = [[row[i] for i in (0, 1, 2, 3, 4, 8)] for row in rows]
         assert got == PINNED_CSV[suite], suite
+
+
+def _non_timing(records) -> dict:
+    return {(r.n, r.sigma_or_t): (r.count, r.avg_largest_entry, r.rank2_count) for r in records}
+
+
+def test_grid_filter_keeps_each_cells_instances():
+    # a cell is seeded by its (n, sigma), so filtering the grid around it
+    # leaves its rows as they are in a wider run
+    wide1 = _non_timing(run_table1(count=2, seed=4, ns=[3, 5], sigmas=[3, 6]))
+    assert _non_timing(run_table1(count=2, seed=4, ns=[5], sigmas=[6])) == {(5, 6): wide1[5, 6]}
+    wide2 = _non_timing(run_table2(count=1, seed=4, ns=[10]))
+    assert _non_timing(run_table2(count=1, seed=4, ns=[10], sigmas=[6])) == {(10, 6): wide2[10, 6]}
+    assert _non_timing(run_table1(count=2, seed=4, ns=[5], sigmas=[6.0])) == {(5, 6): wide1[5, 6]}
+    with pytest.raises(ValueError, match="sigmas must be integers"):
+        run_table1(count=1, ns=[3], sigmas=[2.5])

@@ -119,6 +119,14 @@ def test_factor_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["factor", "reduce", "diagram", "oracle"])
+def test_rank_error_names_the_rank(tmp_path, capsys, command):
+    for n in (3, 4):
+        path = write(tmp_path, f"i{n}.txt", [[int(i == j) for j in range(n)] for i in range(n)])
+        assert main([command, path]) == 2
+        assert f"got rank {n}\n" in capsys.readouterr().err
+
+
 def test_factor_r_flag(tmp_path, capsys):
     path = write(tmp_path, "b.txt", BEASLEY)
     assert main(["factor", path, "--r", "2"]) == 1

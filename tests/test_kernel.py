@@ -1,6 +1,7 @@
 """The rank-2 lattice kernel against the Smith form as the reference, the
-canonical Lagrange-Gauss tie-break, exact rank, and how often the entry
-points coerce their input."""
+canonical Lagrange-Gauss tie-break, exact rank, the int64 span check
+against its Python-int loop, and how often the entry points coerce their
+input."""
 
 import itertools
 import math
@@ -8,12 +9,21 @@ import random
 import sys
 
 import numpy as np
+import pytest
 
 from conftest import same_lattice
 from nnirank2 import linalg
-from nnirank2.diagram import column_lattice_basis
+from nnirank2.diagram import column_lattice_basis, point_coordinates
 from nnirank2.instances import gen_bt, gen_near_t, gen_product
-from nnirank2.linalg import _lagrange_gauss, det_exact, rank_exact, smith_normal_form
+from nnirank2.linalg import (
+    _bareiss,
+    _column_frame,
+    _int64_rows,
+    _lagrange_gauss,
+    det_exact,
+    rank_exact,
+    smith_normal_form,
+)
 from nnirank2.reduction import reduce_to_3x3, row_lattice_basis
 from nnirank2.solver import RANK2, solve
 
@@ -102,6 +112,88 @@ def test_rank_and_determinant_with_zero_pivot_columns():
         assert rank_exact(rows) == np.linalg.matrix_rank(as_float)
         if n == m:
             assert det_exact(rows) == round(np.linalg.det(as_float))
+
+
+# entries at and just past the int64 span check's bound, and at int64's ends
+SPECIALS = (2**20, -(2**20), 2**20 + 1, -(2**20) - 1, 2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**70)
+
+
+def span_corpus():
+    """Seeded matrices of rank 0 to 4: one row, one column, and both sides
+    of the int64 size cut; each plain, with one entry set to a special
+    value that is alone in its row and column, and scaled by a special
+    value."""
+    rng = random.Random(2610)
+    cut = linalg._INT64_MIN_ENTRIES
+    shapes = [(1, 7), (6, 1), (1, cut), (cut, 1), (3, 3), (5, 5), (2, cut // 2 - 1),
+              (2, cut // 2), (cut // 10, 11), (11, cut // 10 - 1), (cut // 20, 30)]
+    for n, m in shapes:
+        for r in range(min(4, n, m) + 1):
+            L = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+            R = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(r)]
+            M = [[sum(row[t] * R[t][j] for t in range(r)) for j in range(m)] for row in L]
+            yield M
+            for v in SPECIALS:
+                i, j = rng.randrange(n), rng.randrange(m)
+                one = [[v if (a, b) == (i, j) else 0 if a == i or b == j else x
+                        for b, x in enumerate(row)] for a, row in enumerate(M)]
+                yield one
+                yield [[v * x for x in row] for row in M]
+
+
+def frame_or_error(rows):
+    try:
+        return _column_frame(rows)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_span_check_int64_path_matches_python_ints(monkeypatch):
+    corpus = list(span_corpus())
+    ranks = [_bareiss([list(r) for r in rows])[0] for rows in corpus]
+    default = linalg._INT64_MIN_ENTRIES
+    monkeypatch.setattr(linalg, "_INT64_MIN_ENTRIES", 10**9)  # Python ints only
+    expected = [frame_or_error(rows) for rows in corpus]
+    for cut in (1, default):
+        monkeypatch.setattr(linalg, "_INT64_MIN_ENTRIES", cut)
+        int64_path = 0
+        for rows, rank, want in zip(corpus, ranks, expected):
+            bounded = all(abs(x) <= 2**20 for row in rows for x in row)
+            assert (_int64_rows(rows) is not None) == bounded, rows
+            int64_path += bounded and len(rows) * len(rows[0]) >= cut
+            assert rank_exact(rows) == rank, rows
+            assert frame_or_error(rows) == want, rows
+        assert int64_path > 50
+
+
+def test_span_check_int64_bounds():
+    # np.abs(-2**63) is -2**63, so an abs-based bound would let it through
+    assert _int64_rows([[-(2**63), 0], [0, 0]]) is None
+    assert _int64_rows([[-(2**20), 2**20]]) is not None
+    # rank 3, but its one failing check is off by 2**64: int64 would wrap it to 0
+    pad = [0] * linalg._INT64_MIN_ENTRIES
+    rows = [[1, 0, 2**32] + pad, [0, 1, 0] + pad, [2**32, 0, 0] + pad]
+    assert rank_exact(rows) == 3
+    assert frame_or_error(rows) == "matrix must have rank 2, got rank 3"
+    # small entries in a basis with a large one: d * 2 = 2**63 would wrap
+    n = linalg._INT64_MIN_ENTRIES
+    assert point_coordinates([[2]] * n, [[2**62, 1]] + [[0, 1]] * (n - 1)) == [(0, 2)]
+
+
+@pytest.mark.parametrize("n, m, sigma, seed", [(100, 100, 3, 1), (200, 150, 10, 2), (300, 100, 3, 3)])
+def test_product_large_outputs_do_not_depend_on_the_span_path(monkeypatch, n, m, sigma, seed):
+    _, _, A = gen_product(n, m, sigma, seed=[2611, seed])
+
+    def records():
+        out = solve(A)
+        cert = out.certificate
+        F = (cert.F1.tolist(), cert.F2.tolist()) if out.verdict == RANK2 else None
+        C, trace = reduce_to_3x3(A)
+        return out.verdict, out.pairs_examined, F, trace.three_by_m.tolist(), C.tolist()
+
+    with_cut = records()
+    monkeypatch.setattr(linalg, "_INT64_MIN_ENTRIES", 10**9)
+    assert records() == with_cut
 
 
 def calls_on_input(fn, A) -> tuple[int, int]:
