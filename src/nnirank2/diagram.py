@@ -19,7 +19,6 @@ from .linalg import (
     _column_frame,
     _extremes,
     _hermite2,
-    _int_coords,
     _int_points,
     _pivot,
     as_int_matrix,
@@ -97,8 +96,6 @@ def point_coordinates(A, basis) -> list[Vec2]:
     if piv is None:
         raise ValueError("basis must have rank 2")
     pts = _int_points(brows, piv, A.tolist())
-    if pts is None:  # some column is outside the span: name it
-        pts = [_int_coords(brows, piv, col) for col in zip(*A.tolist())]
     if None in pts:
         raise ValueError(f"column {pts.index(None)} has no integer coordinates in the basis")
     return pts

@@ -170,15 +170,8 @@ def _bareiss(M: list[list[int]]) -> tuple[int, int]:
 
 
 def rank_exact(A) -> int:
-    """Rank over the rationals.
-
-    The rank-2 column frame (:func:`_frame`) finds ranks 0, 1 and 2 with
-    one span check of every entry; only a rank above 2 runs fraction-free
-    (Bareiss) elimination to name it.
-    """
-    rows = as_int_matrix(A).tolist()
-    rank, _ = _frame(rows)
-    return rank if rank <= 2 else _bareiss(rows)[0]
+    """Rank over the rationals, from the rank-2 column frame (:func:`_frame`)."""
+    return _frame(as_int_matrix(A).tolist())[0]
 
 
 def det_exact(A) -> int:
@@ -370,28 +363,16 @@ def _int64_rows(rows: Sequence[Sequence[int]]) -> np.ndarray | None:
     return M if -_INT64_SAFE <= M.min() and M.max() <= _INT64_SAFE else None
 
 
-def _span_coords(brows: Sequence[Vec2], piv: Pivot, y: Sequence[int]) -> Vec2 | None:
-    """Numerators (n0, n1) with d * y == n0 * col0 + n1 * col1, or None
-    when y is outside the span."""
-    nums = _span_numerators(brows, piv, [[x] for x in y])
-    return None if nums is None else nums[0]
-
-
-def _int_points(brows: Sequence[Vec2], piv: Pivot, rows: Sequence[Sequence[int]]) -> list[Vec2 | None] | None:
+def _int_points(brows: Sequence[Vec2], piv: Pivot, rows: Sequence[Sequence[int]]) -> list[Vec2 | None]:
     """Integer coordinates in the basis of each column of the matrix given
-    by its rows, None for a column whose coordinates are not integers; None
-    when some column is outside the span."""
+    by its rows; None for a column outside the span or whose coordinates
+    are not integers."""
     nums = _span_numerators(brows, piv, rows)
-    if nums is None:
-        return None
+    if nums is None:  # some column is outside the span: check each alone
+        cols = (_span_numerators(brows, piv, [[x] for x in col]) for col in zip(*rows))
+        nums = [None if c is None else c[0] for c in cols]
     d = piv[2]
-    return [(n0 // d, n1 // d) if n0 % d == n1 % d == 0 else None for n0, n1 in nums]
-
-
-def _int_coords(brows: Sequence[Vec2], piv: Pivot, y: Sequence[int]) -> Vec2 | None:
-    """Integer x with col0 * x[0] + col1 * x[1] == y, or None."""
-    pts = _int_points(brows, piv, [[x] for x in y])
-    return None if pts is None else pts[0]
+    return [None if n is None or n[0] % d or n[1] % d else (n[0] // d, n[1] // d) for n in nums]
 
 
 def _hermite2(vectors) -> tuple[Vec2, Vec2]:
@@ -420,8 +401,8 @@ def _hermite2(vectors) -> tuple[Vec2, Vec2]:
 
 
 def _frame(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[list[Vec2], Pivot, list[Vec2]] | None]:
-    """The rank a rank-2 column frame finds (0, 1, 2, or 3 for any rank
-    above 2) and, at rank 2, the frame :func:`_column_frame` returns."""
+    """The exact rank and, at rank 2, the frame :func:`_column_frame` returns;
+    Bareiss elimination names the rank only when the span check fails."""
     m = len(rows[0])
     j0 = next((j for j in range(m) if any(row[j] for row in rows)), None)
     if j0 is None:
@@ -434,7 +415,9 @@ def _frame(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[list[Vec2], Pivot,
     else:
         return 1, None
     coords = _span_numerators(B, piv, rows)
-    return (3, None) if coords is None else (2, (B, piv, coords))
+    if coords is None:
+        return _bareiss([list(row) for row in rows])[0], None
+    return 2, (B, piv, coords)
 
 
 def _column_frame(rows: Sequence[Sequence[int]]) -> tuple[list[Vec2], Pivot, list[Vec2]]:
@@ -447,8 +430,6 @@ def _column_frame(rows: Sequence[Sequence[int]]) -> tuple[list[Vec2], Pivot, lis
     """
     rank, frame = _frame(rows)
     if frame is None:
-        if rank > 2:
-            rank = _bareiss([list(row) for row in rows])[0]
         raise ValueError(f"matrix must have rank 2, got rank {rank}")
     return frame
 

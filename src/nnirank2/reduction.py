@@ -23,10 +23,10 @@ from .linalg import (
     Vec2,
     _column_frame,
     _hermite2,
-    _int_coords,
+    _frame,
+    _int_points,
     _lagrange_gauss,
     _pivot,
-    _span_coords,
     as_int_matrix,
     as_int_vector,
     cross2,
@@ -114,16 +114,11 @@ def build_3xm(A) -> tuple[np.ndarray, StageTrace]:
     (_, i1), (_, i2) = _plane_cone(B)
     a1, a2 = _row_lattice(rows, B, piv)
     lattice = list(zip(a1, a2))
-    lattice_piv = _pivot(lattice)
-
-    def primitive_coords(row: list[int]) -> Vec2:
-        c = _int_coords(lattice, lattice_piv, row)
-        if c is None:
-            raise RuntimeError("internal error: a row is outside the row lattice")
-        return primitive_point(c)
-
-    c1 = p, q = primitive_coords(rows[i1])
-    c2 = primitive_coords(rows[i2])
+    c1, c2 = _int_points(lattice, _pivot(lattice), list(zip(rows[i1], rows[i2])))
+    if c1 is None or c2 is None:
+        raise RuntimeError("internal error: a row is outside the row lattice")
+    c1 = p, q = primitive_point(c1)
+    c2 = primitive_point(c2)
     g, x, y = ext_gcd(p, q)
     if g != 1:
         raise RuntimeError("internal error: b1 is not primitive in the row lattice")
@@ -200,18 +195,16 @@ def validate_equivalence(A, B) -> EquivalenceReport:
     if A.shape[1] != B.shape[1]:
         raise ValueError("matrices must have the same column count")
     rows_a, rows_b = A.tolist(), B.tolist()
-    _, (i, k, _), _ = _column_frame(rows_a)
-    _column_frame(rows_b)  # rank check
-    # rows i, k of A span its row space, which projects injectively on the
-    # columns j0, j1 of their pivot
-    span = list(zip(rows_a[i], rows_a[k]))
-    j0, j1, _ = piv = _pivot(span)
-    cond_row_space = all(_span_coords(span, piv, v) is not None for v in rows_b)
+    _column_frame(rows_a)  # rank checks
+    _column_frame(rows_b)
+    # B's rows lie in A's row space exactly when the stack has rank 2; the
+    # stack's frame columns then project that row space injectively
+    rank, frame = _frame(rows_a + rows_b)
+    cond_row_space = rank == 2
 
     cond_lattice = cond_cone = False
     if cond_row_space:
-        P = [(v[j0], v[j1]) for v in rows_a]
-        Q = [(v[j0], v[j1]) for v in rows_b]
+        P, Q = frame[0][:len(rows_a)], frame[0][len(rows_a):]
         cond_lattice = _hermite2(P) == _hermite2(Q)
         rays_p, rays_q = cone_from_constraint_rows(P), cone_from_constraint_rows(Q)
         cond_cone = rays_p is not None and rays_q is not None and set(rays_p) == set(rays_q)

@@ -32,6 +32,13 @@ RANK2 = "rank2"
 NOT_RANK2 = "not_rank2"
 RANK_LE_1 = "rank_le_1"
 
+# The triangle search takes 50-300 ns per pair (2-vCPU Xeon), so 2·10⁸ pairs
+# is 10-60 s.  A search whose pair bound exceeds that (bt(10⁴) bounds at 5·10⁷,
+# near_t(10¹⁹) at 5·10³⁷) gets only PROBE_PAIRS pairs: a rank2 matrix with a
+# huge triangle can still win among its first few.
+MAX_CANDIDATE_PAIRS = 2 * 10**8
+PROBE_PAIRS = 10**6
+
 
 @dataclass(frozen=True)
 class ConeDecomposition:
@@ -109,9 +116,9 @@ def _triangle_columns(dec: ConeDecomposition) -> Iterator[tuple[int, int, int]]:
         cross((1,0), p) >= 0        cross(p, u_point)       >= 0
         cross(v, u_point - p) >= 0  cross(u_point - p, c)   >= 0
 
-    x runs between the vertex abscissae, rounded inward by integer
-    division, from 1: the column x = 0 holds only the origin.  The y-range
-    comes from the same inequalities; no floating point is involved.
+    x runs from the leftmost vertex abscissa, rounded up, from 1 (x = 0
+    holds only the origin), to ux: vx, cx >= 0 keep both x-axis hits left
+    of it.  The y-range comes from the same inequalities, in integers.
     """
     ux, uy = dec.u_point
     vx, vy = dec.v
@@ -120,14 +127,13 @@ def _triangle_columns(dec: ConeDecomposition) -> Iterator[tuple[int, int, int]]:
     cross_uv = ux * vy - uy * vx
     cross_uc = ux * cy - uy * cx
     x_lo = max(1, min(ux, -(-cross_uv // vy), -(-cross_uc // cy)))
-    x_hi = max(ux, cross_uv // vy, cross_uc // cy)
     # the last two conditions as alpha*x + beta*y + delta >= 0; where
-    # beta == 0 they hold on all of [x_lo, x_hi]
+    # beta == 0 they hold on all of [x_lo, ux]
     constraints = (
         (vy, -vx, vx * uy - vy * ux),
         (-cy, cx, cross_uc),
     )
-    for x in range(x_lo, x_hi + 1):
+    for x in range(x_lo, ux + 1):
         lo, hi = 0, uy * x // ux  # the first two conditions; ux > 0
         for al, be, de in constraints:
             s = al * x + de
@@ -142,6 +148,13 @@ def triangle_points(dec: ConeDecomposition) -> list[Vec2]:
     """Lattice points of the triangle K₋ ∩ (u_point − K₊), lexicographic;
     see :func:`_triangle_columns`."""
     return [(x, y) for x, lo, hi in _triangle_columns(dec) for y in range(lo, hi + 1)]
+
+
+def _pair_bound(dec: ConeDecomposition) -> int:
+    """O(1) bound on the pairs :func:`search` examines: columns x = 1..ux (as vx, cx >= 0)
+    of at most uy*x/ux + 1 points, then at most max(v_point) + 1 sweep steps."""
+    ux, uy = dec.u_point
+    return uy * (ux + 1) // 2 + ux + max(dec.v_point) + 2
 
 
 def _coefficients(a: Vec2, b: Vec2, points) -> list[Vec2] | int:
@@ -200,8 +213,17 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     implies C | N = G*x*dx, which is fixed for the column; a pair with
     N % C != 0 is one the index test rejects.  Where dx == 0 no such N
     exists and every pair goes on to the index test.
+
+    When :func:`_pair_bound` exceeds MAX_CANDIDATE_PAIRS, it raises
+    ValueError once PROBE_PAIRS pairs go by without a winner.
     """
     dec = decompose(cd)
+    bound = _pair_bound(dec)
+    limit = MAX_CANDIDATE_PAIRS if bound <= MAX_CANDIDATE_PAIRS else PROBE_PAIRS
+    refusal = (
+        "the triangle search would examine up to {} candidate pairs, above"
+        " the limit of {}, and none of the first {} wins"
+    )
     points = cd.points
     (h1, _), (_, h2) = _hermite2(points)
     G = h1 * h2  # the point lattice's index: det of its Hermite basis
@@ -226,6 +248,8 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
             if hi != uy:
                 raise RuntimeError("internal error: u_point is not its column's top")
             hi -= 1
+        over = hi - lo + 1 > limit - pairs  # walk no further than the limit
+        hi = min(hi, lo + limit - pairs - 1)
         dx = ux - x
         top = x * uy
         # 0 sends every pair on: under collect_rejections, and where dx == 0
@@ -248,6 +272,8 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
             if out is not None:
                 return out
         pairs += max(0, hi - lo + 1)
+        if over:
+            raise ValueError(refusal.format(bound, MAX_CANDIDATE_PAIRS, limit))
         if not at_u:
             continue
         a = dec.u
@@ -257,6 +283,8 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
         k2, qx, qy = 0, vx, vy
         while in_cone((qx, qy), (1, 0), dec.c):
             pairs += 1
+            if pairs > limit:
+                raise ValueError(refusal.format(bound, MAX_CANDIDATE_PAIRS, limit))
             g = gcd(qx, qy)
             if not (prune and G % (cross_aq // g)):
                 out = full_check(a, (qx // g, qy // g), pairs)

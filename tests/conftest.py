@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import nnirank2
-from nnirank2.linalg import _int_coords, _pivot, as_int_matrix
+from nnirank2.linalg import _int_points, _pivot, as_int_matrix
 
 # 3x3 matrix of rank 2 whose nonnegative integer rank is 3
 BEASLEY = [[2, 0, 3], [1, 1, 4], [1, 3, 9]]
@@ -30,7 +30,7 @@ def same_lattice(basis_a, basis_b) -> bool:
     """Do the columns of two n x 2 integer matrices generate one lattice?"""
     brows = [tuple(r) for r in as_int_matrix(basis_a).tolist()]
     piv = _pivot(brows)
-    coords = [_int_coords(brows, piv, col) for col in as_int_matrix(basis_b).T.tolist()]
+    coords = _int_points(brows, piv, as_int_matrix(basis_b).tolist())
     if None in coords:
         return False
     (x0, y0), (x1, y1) = coords

@@ -522,3 +522,14 @@ def test_oracle_oversized_exit2(tmp_path, capsys):
     )
     assert main(["oracle", big]) == 2
     capsys.readouterr()
+
+
+def test_factor_refuses_a_pair_bound_above_the_limit(tmp_path):
+    # the near_t(10**19) file has about 10**38 pairs and never returned;
+    # a child process, so a factor that does not refuse fails on the timeout
+    outdir = tmp_path / "huge"
+    assert main(["generate", "--kind", "near_t", "--t", str(10**19), "--outdir", str(outdir)]) == 0
+    proc = run_python("-m", "nnirank2.cli", "factor", str(outdir / "near_t_0_0.txt"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "above the limit of 200000000, and none of the first 1000000 wins" in proc.stderr

@@ -80,6 +80,15 @@ def test_point_coordinates_rejects_unsaturated_basis():
         point_coordinates([[1, 0], [0, 1]], [[2, 0], [0, 2]])
 
 
+def test_point_coordinates_names_the_failing_column():
+    # column 2 is outside the basis's span
+    with pytest.raises(ValueError, match="^column 2 has no integer coordinates in the basis$"):
+        point_coordinates([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, 1], [0, 0]])
+    # column 0 is inside the span, at (1/2, 0)
+    with pytest.raises(ValueError, match="^column 0 has no integer coordinates in the basis$"):
+        point_coordinates([[1, 0, 1], [0, 1, 1]], [[2, 0], [0, 1]])
+
+
 def test_extreme_rays_beasley(beasley):
     (r1, k1), (r2, k2) = extreme_rays(beasley)
     assert list(r1) == [0, 1, 3] and k1 == 0

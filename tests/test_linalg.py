@@ -9,7 +9,7 @@ from conftest import BEASLEY, M55, same_lattice
 from nnirank2.linalg import (
     _lagrange_gauss,
     _pivot,
-    _span_coords,
+    _span_numerators,
     as_int_matrix,
     as_int_vector,
     cross2,
@@ -238,10 +238,10 @@ def test_solve2():
         ([(1, 0), (0, 1), (1, 1)], [1, 1, 2], (1, 1)),
     ):
         piv = _pivot(B)
-        n0, n1 = _span_coords(B, piv, y)
+        [(n0, n1)] = _span_numerators(B, piv, [[v] for v in y])
         assert (Fraction(n0, piv[2]), Fraction(n1, piv[2])) == x
     # inconsistent: y has a residual outside col(B)
     B = [(1, 0), (0, 1), (1, 1)]
-    assert _span_coords(B, _pivot(B), [1, 1, 3]) is None
+    assert _span_numerators(B, _pivot(B), [[1], [1], [3]]) is None
     # rank-deficient B: no pivot
     assert _pivot([(1, 2), (2, 4), (3, 6)]) is None

@@ -4,8 +4,9 @@ import pytest
 
 from conftest import M55, PRINTED_B35, PRINTED_C33, same_lattice
 from nnirank2.instances import gen_product
-from nnirank2.linalg import _int_coords, _pivot, as_int_matrix
+from nnirank2.linalg import _int_points, _pivot, as_int_matrix
 from nnirank2.reduction import (
+    EquivalenceReport,
     build_3xm,
     reduce_to_3x3,
     row_lattice_basis,
@@ -32,6 +33,16 @@ def test_build_3xm_m55(m55):
     assert rep.row_space and rep.row_lattice and rep.cone
     # equivalent to the printed 3x5 (equivalence is transitive)
     assert validate_equivalence(B, PRINTED_B35).ok
+
+
+def test_each_equivalence_condition_fails_on_its_own():
+    # the cone alone: the row x - y cuts the quadrant in half
+    rep = validate_equivalence([[1, 0], [0, 1]], [[1, 0], [0, 1], [1, -1]])
+    assert rep == EquivalenceReport(row_space=True, row_lattice=True, cone=False)
+    # the row space: B's second row is outside A's row space
+    rep = validate_equivalence([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]])
+    assert rep == EquivalenceReport(row_space=False, row_lattice=False, cone=False)
+    # the lattice alone: test_validate_equivalence_reflexive_and_scaled
 
 
 def test_build_3xm_on_3xm_input():
@@ -105,7 +116,7 @@ def test_b3_certificate_and_growth_random():
         assert r_ * p - s_ * q == 1
         lattice = list(zip(*tr.basis))
         piv = _pivot(lattice)
-        coords = [_int_coords(lattice, piv, B[k, :].tolist()) for k in range(3)]
+        coords = _int_points(lattice, piv, B.T.tolist())
         g = 0
         for a in range(3):
             for b in range(a + 1, 3):

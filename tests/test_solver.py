@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SUBMATRIX_4COL
+from conftest import SUBMATRIX_4COL, run_python
 from nnirank2.diagram import Diagram, build_diagram, canonicalize
 from nnirank2 import solver
 from nnirank2.instances import gen_bt, gen_near_t, gen_product
-from nnirank2.linalg import as_int_matrix, cross2, primitive_point
+from nnirank2.linalg import as_int_matrix, cross2, primitive_point, rank_exact
 from nnirank2.oracle import brute_force
 from nnirank2.solver import (
     NOT_RANK2,
@@ -438,3 +438,76 @@ def test_default_solve_matches_the_collecting_run_beyond_the_pin_corpus():
             assert (out.certificate.F2 == ref.certificate.F2).all()
         verdicts.add(out.verdict)
     assert verdicts == {RANK2, NOT_RANK2}
+
+
+def test_pair_bound_covers_the_exact_count():
+    # search refuses an instance by _pair_bound alone, so the bound must
+    # never fall below the pairs the search really examines
+    from test_pin import pin_corpus
+
+    corpus = [gen_bt(t) for t in range(1, 401)]
+    corpus += [gen_near_t(3 + i % 397, seed=[4242, i]) for i in range(300)]
+    corpus += [A for A in pin_corpus() if rank_exact(A) == 2]
+    worst = 0.0
+    for A in corpus:
+        for r in (1, 2):
+            cd = canonical(A, r)
+            pairs, bound = search(cd).pairs_examined, solver._pair_bound(decompose(cd))
+            assert pairs <= bound, (A.tolist(), r)
+            worst = max(worst, pairs / bound)
+    assert worst > 0.4  # bt's exhaustive searches reach half the bound
+
+
+
+def test_search_refuses_a_pair_bound_above_the_limit():
+    # near_t(10**19) bounds at about 5*10**37 pairs; a child process, so a
+    # search that does not refuse fails on the timeout instead of hanging
+    code = (
+        "from nnirank2 import gen_near_t, solve\n"
+        "try:\n"
+        "    solve(gen_near_t(10**19, seed=0))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.stdout == (
+        "the triangle search would examine up to"
+        " 50000000000000000025000000000000000005 candidate pairs, above the"
+        " limit of 200000000, and none of the first 1000000 wins\n"
+    )
+    # the largest bt and near_t the paper's grids reach stay below the limit
+    for A in (gen_bt(10**4), gen_near_t(10**4, seed=0)):
+        assert solver._pair_bound(decompose(canonical(A))) <= solver.MAX_CANDIDATE_PAIRS
+
+
+def test_search_above_the_limit_keeps_an_early_winner():
+    # a 3 x 120 product with entries above 2**63: its triangle holds about
+    # 10**19 points, but the first 120 pairs already hold the winner
+    rows = [[2**64 + j for j in range(120)], [j + 1 for j in range(120)]]
+    rows.append([x + y for x, y in zip(*rows)])
+    assert solver._pair_bound(decompose(canonical(rows))) > solver.MAX_CANDIDATE_PAIRS
+    out = solve(rows)
+    assert (out.verdict, out.pairs_examined) == (RANK2, 120)
+
+
+@pytest.mark.parametrize("collect", [False, True])
+def test_probe_refuses_exactly_past_its_pairs(monkeypatch, collect):
+    # with every bound over the limit, a search with PROBE_PAIRS >= its
+    # pairs_examined is unchanged and one with fewer refuses; the corpus
+    # has rank2 and not_rank2 verdicts, wins in a column and in the b sweep
+    cases = [canonical(A, r) for r in (1, 2) for A in (
+        gen_bt(40), gen_bt(7), gen_near_t(60, seed=[5, 1]), gen_near_t(90, seed=[5, 2]),
+        [[2, 0, 3], [1, 1, 4], [1, 3, 9]], [[1, 0, 1], [0, 1, 1]], [[5, 1, 3], [1, 3, 2], [1, 1, 1]],
+    )]
+    monkeypatch.setattr(solver, "MAX_CANDIDATE_PAIRS", 0)
+    for cd in cases:
+        monkeypatch.setattr(solver, "PROBE_PAIRS", 10**9)
+        out = search(cd, collect)
+        monkeypatch.setattr(solver, "PROBE_PAIRS", out.pairs_examined)
+        again = search(cd, collect)
+        assert (again.verdict, again.pairs_examined, again.rejections) == (
+            out.verdict, out.pairs_examined, out.rejections
+        )
+        monkeypatch.setattr(solver, "PROBE_PAIRS", out.pairs_examined - 1)
+        with pytest.raises(ValueError, match=f"none of the first {out.pairs_examined - 1} wins$"):
+            search(cd, collect)
