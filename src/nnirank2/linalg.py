@@ -400,9 +400,12 @@ def _hermite2(vectors) -> tuple[Vec2, Vec2]:
     return (a, b), (0, c)
 
 
-def _frame(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[list[Vec2], Pivot, list[Vec2]] | None]:
-    """The exact rank and, at rank 2, the frame :func:`_column_frame` returns;
-    Bareiss elimination names the rank only when the span check fails."""
+def _frame(
+    rows: Sequence[Sequence[int]], name_rank: bool = True
+) -> tuple[int | None, tuple[list[Vec2], Pivot, list[Vec2]] | None]:
+    """The exact rank and, at rank 2, the frame :func:`_column_frame` returns.
+    When the span check fails the rank is above 2: Bareiss elimination names
+    it under ``name_rank``, else it reads None."""
     m = len(rows[0])
     j0 = next((j for j in range(m) if any(row[j] for row in rows)), None)
     if j0 is None:
@@ -416,7 +419,7 @@ def _frame(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[list[Vec2], Pivot,
         return 1, None
     coords = _span_numerators(B, piv, rows)
     if coords is None:
-        return _bareiss([list(row) for row in rows])[0], None
+        return (_bareiss([list(row) for row in rows])[0] if name_rank else None), None
     return 2, (B, piv, coords)
 
 

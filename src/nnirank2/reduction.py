@@ -197,10 +197,11 @@ def validate_equivalence(A, B) -> EquivalenceReport:
     rows_a, rows_b = A.tolist(), B.tolist()
     _column_frame(rows_a)  # rank checks
     _column_frame(rows_b)
-    # B's rows lie in A's row space exactly when the stack has rank 2; the
-    # stack's frame columns then project that row space injectively
-    rank, frame = _frame(rows_a + rows_b)
-    cond_row_space = rank == 2
+    # B's rows lie in A's row space exactly when the stack has rank 2, which
+    # its span check decides; the stack's frame columns then project that
+    # row space injectively
+    frame = _frame(rows_a + rows_b, name_rank=False)[1]
+    cond_row_space = frame is not None
 
     cond_lattice = cond_cone = False
     if cond_row_space:

@@ -32,12 +32,25 @@ RANK2 = "rank2"
 NOT_RANK2 = "not_rank2"
 RANK_LE_1 = "rank_le_1"
 
-# The triangle search takes 50-300 ns per pair (2-vCPU Xeon), so 2·10⁸ pairs
-# is 10-60 s.  A search whose pair bound exceeds that (bt(10⁴) bounds at 5·10⁷,
-# near_t(10¹⁹) at 5·10³⁷) gets only PROBE_PAIRS pairs: a rank2 matrix with a
-# huge triangle can still win among its first few.
+# The triangle search takes 11-13 ns per pair in its int64 batch and 50-300 ns
+# in its Python walk (2-vCPU Xeon), so 2·10⁸ pairs is 3-60 s.  A search whose
+# pair bound exceeds that (bt(10⁴) bounds at 5·10⁷, near_t(10¹⁹) at 5·10³⁷)
+# gets only PROBE_PAIRS pairs: a rank2 matrix with a huge triangle can still
+# win among its first few.
 MAX_CANDIDATE_PAIRS = 2 * 10**8
 PROBE_PAIRS = 10**6
+# A search walks its first pairs in Python and hands the int64 batch only
+# the columns after this many: a block's numpy set-up (about 30 us) costs
+# more than walking a few hundred pairs, and the pair bound, often 100 times
+# the true count on a product, cannot pick out the short searches up front.
+_BATCH_MIN_PAIRS = 512
+# Pairs per int64 block: the first block is small, so that a winner soon
+# after the Python walk pays little for it; each later one is 4 times
+# larger, up to a cap that keeps each of a block's arrays at 64 KiB, in
+# cache (at 2**16 pairs a block cost 28 ns per pair on bt(10⁴), at 2**13 11).
+_BATCH_FIRST, _BATCH_MAX = 2**10, 2**13
+# The batch's int64 gate, on G*ux**2 and ux*uy: see search
+_BATCH_INT64_BOUND = 2**62
 
 
 @dataclass(frozen=True)
@@ -157,6 +170,20 @@ def _pair_bound(dec: ConeDecomposition) -> int:
     return uy * (ux + 1) // 2 + ux + max(dec.v_point) + 2
 
 
+def _survivors(block, ux: int, uy: int, G: int):
+    """(x, y, C, i) of each pair, i-th in ``block``'s column pieces x, lo, hi (flat), that
+    passes the one-modulo test of :func:`search`; in int64, which the caller gates."""
+    xs, los, his = np.array(block, dtype=np.int64).reshape(-1, 3).T
+    counts = his - los + 1
+    x = np.repeat(xs, counts)
+    i = np.arange(x.size)
+    # y runs from lo up along each piece, which starts at block index cumsum - counts
+    y = i + np.repeat(los - np.cumsum(counts) + counts, counts)
+    C = x * uy - y * ux
+    keep = np.flatnonzero(np.repeat(G * xs * (ux - xs), counts) % C == 0)
+    return zip(x[keep].tolist(), y[keep].tolist(), C[keep].tolist(), keep.tolist())
+
+
 def _coefficients(a: Vec2, b: Vec2, points) -> list[Vec2] | int:
     """Coefficients of every point in the candidate basis (a, b), if they exist.
 
@@ -214,6 +241,16 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     N % C != 0 is one the index test rejects.  Where dx == 0 no such N
     exists and every pair goes on to the index test.
 
+    With pruning on and a pair bound up to MAX_CANDIDATE_PAIRS, the columns
+    x < ux after the first _BATCH_MIN_PAIRS pairs run that test as int64
+    arrays, over blocks of _BATCH_FIRST pairs growing to _BATCH_MAX, and
+    the survivors go through the same index test and full check, in the
+    same order.  Gate: as 0 <= y <= uy, every x*uy, y*ux <= ux*uy and
+    N <= G*ux**2/4, so with both bounds below _BATCH_INT64_BOUND = 2**62
+    nothing overflows; otherwise, as in the dx == 0 column and the b sweep,
+    the Python walk runs, at any magnitude.  Either way ``pairs_examined``
+    and every record are the same.
+
     When :func:`_pair_bound` exceeds MAX_CANDIDATE_PAIRS, it raises
     ValueError once PROBE_PAIRS pairs go by without a winner.
     """
@@ -240,9 +277,46 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
         return None
 
     ux, uy = dec.u_point
+
+    def check(x: int, y: int, C: int, pairs: int) -> SolveOutcome | None:
+        # the index test, then the full check, of the pair from k*a = (x, y):
+        # a = k*a / g1 and b = (u_point - k*a) / g2, so cross(a, b) = C / (g1*g2)
+        g1 = gcd(x, y)
+        dx, dy = ux - x, uy - y
+        g2 = gcd(dx, dy)
+        if prune and G % (C // (g1 * g2)):
+            return None
+        return full_check((x // g1, y // g1), (dx // g2, dy // g2), pairs)
+
+    batched = prune and bound <= MAX_CANDIDATE_PAIRS
+    batched = batched and max(G * ux, uy) * ux < _BATCH_INT64_BOUND
+    block: list[int] = []  # queued column pieces x, lo, hi with x < ux, flat
+    size = room = _BATCH_FIRST
     pairs = 0
+
+    def flush() -> SolveOutcome | None:
+        nonlocal pairs, size, room
+        for x, y, C, i in _survivors(block, ux, uy, G):
+            out = check(x, y, C, pairs + i + 1)
+            if out is not None:
+                return out
+        pairs += size - room
+        block.clear()
+        size = room = min(4 * size, _BATCH_MAX)
+        return None
+
     for x, lo, hi in _triangle_columns(dec):
         at_u = x == ux
+        if batched and not at_u and pairs >= _BATCH_MIN_PAIRS:
+            while lo <= hi:  # queue the column, cut at block ends
+                n = min(hi - lo + 1, room)
+                block += x, lo, lo + n - 1
+                lo, room = lo + n, room - n
+                if not room and (out := flush()) is not None:
+                    return out
+            continue
+        if block and (out := flush()) is not None:
+            return out
         if at_u:
             # u_point tops its column; its pairs come from the sweep below
             if hi != uy:
@@ -250,25 +324,15 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
             hi -= 1
         over = hi - lo + 1 > limit - pairs  # walk no further than the limit
         hi = min(hi, lo + limit - pairs - 1)
-        dx = ux - x
         top = x * uy
         # 0 sends every pair on: under collect_rejections, and where dx == 0
-        N = G * x * dx if prune else 0
+        N = G * x * (ux - x) if prune else 0
         # C = cross(k*a, u_point) = x*uy - y*ux for y = lo, ..., hi
         for C in range(top - lo * ux, top - hi * ux - 1, -ux):
             if N % C:
                 continue
-            # a = k*a / g1 and b = (u_point - k*a) / g2, so
-            # cross(a, b) = C / (g1*g2) > 0
             y = (top - C) // ux
-            g1 = gcd(x, y)
-            dy = uy - y
-            g2 = gcd(dx, dy)
-            if prune and G % (C // (g1 * g2)):
-                continue
-            out = full_check(
-                (x // g1, y // g1), (dx // g2, dy // g2), pairs + y - lo + 1
-            )
+            out = check(x, y, C, pairs + y - lo + 1)
             if out is not None:
                 return out
         pairs += max(0, hi - lo + 1)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from conftest import M55, PRINTED_B35, PRINTED_C33, same_lattice
+from nnirank2 import linalg
 from nnirank2.instances import gen_product
 from nnirank2.linalg import _int_points, _pivot, as_int_matrix
 from nnirank2.reduction import (
@@ -95,6 +96,23 @@ def test_validate_equivalence_reflexive_and_scaled(m55):
     assert rep.row_space and rep.cone
     assert not rep.row_lattice  # doubling rows shrinks the row lattice
     assert not rep.ok
+
+
+def test_row_space_is_decided_without_elimination(monkeypatch):
+    # a rank-2 B with a row outside A's row space: the stacked matrix's span
+    # check alone rejects it, with no Bareiss pass to name the stack's rank
+    A = gen_product(30, 30, 3, seed=1)[2]
+    same = build_3xm(A)[0]
+    B = same.tolist()
+    B[1][0] += 1
+    B[2] = [x + y for x, y in zip(B[0], B[1])]
+
+    def no_elimination(M):
+        raise AssertionError("Bareiss elimination ran")
+
+    monkeypatch.setattr(linalg, "_bareiss", no_elimination)
+    assert validate_equivalence(A, B) == EquivalenceReport(False, False, False)
+    assert validate_equivalence(A, same).ok
 
 
 def test_validate_equivalence_errors(m55):

@@ -8,7 +8,7 @@ from conftest import SUBMATRIX_4COL, run_python
 from nnirank2.diagram import Diagram, build_diagram, canonicalize
 from nnirank2 import solver
 from nnirank2.instances import gen_bt, gen_near_t, gen_product
-from nnirank2.linalg import as_int_matrix, cross2, primitive_point, rank_exact
+from nnirank2.linalg import _hermite2, as_int_matrix, cross2, primitive_point, rank_exact
 from nnirank2.oracle import brute_force
 from nnirank2.solver import (
     NOT_RANK2,
@@ -488,6 +488,80 @@ def test_search_above_the_limit_keeps_an_early_winner():
     assert solver._pair_bound(decompose(canonical(rows))) > solver.MAX_CANDIDATE_PAIRS
     out = solve(rows)
     assert (out.verdict, out.pairs_examined) == (RANK2, 120)
+
+
+def count_blocks(monkeypatch) -> list:
+    """Record every block the int64 batch of search tests."""
+    blocks = []
+    survivors = solver._survivors
+
+    def counted(block, *args):
+        blocks.append(len(block))
+        return survivors(block, *args)
+
+    monkeypatch.setattr(solver, "_survivors", counted)
+    return blocks
+
+
+def search_record(cd):
+    out = search(cd)
+    cert = out.certificate
+    return out.verdict, out.pairs_examined, cert and (cert.pair, cert.F1.tolist(), cert.F2.tolist())
+
+
+def test_int64_batch_matches_the_python_walk(monkeypatch):
+    # the size cut at 0 sends every search to the int64 batch, above every
+    # bound to the Python walk: verdicts, pairs_examined and certificates agree
+    corpus = [gen_bt(t) for t in range(1, 301)] + [gen_bt(2000)]
+    corpus += [gen_near_t(3 + 3 * i, seed=[77, i]) for i in range(100)]
+    for i, (n, sigma) in enumerate((n, s) for n in (2, 3, 5, 10) for s in (3, 10, 25)):
+        A = gen_product(n, n + i % 3, sigma, seed=[78, i])[2]
+        corpus += [A, 3 * A]
+    blocks = count_blocks(monkeypatch)
+    first = later = 0  # rank2 wins in the batch's first block, and past it
+    for A in corpus:
+        for r in (1, 2):
+            cd = canonical(A, r)
+            monkeypatch.setattr(solver, "_BATCH_MIN_PAIRS", 0)
+            batch = search_record(cd)
+            monkeypatch.setattr(solver, "_BATCH_MIN_PAIRS", solver.MAX_CANDIDATE_PAIRS + 1)
+            n_blocks = len(blocks)
+            assert search_record(cd) == batch, (A.tolist(), r)
+            assert len(blocks) == n_blocks
+            dec = decompose(cd)
+            columns = solver._triangle_columns(dec)
+            batched = sum(max(0, hi - lo + 1) for x, lo, hi in columns if x < dec.u_point[0])
+            if batch[0] == RANK2 and batch[1] <= batched:
+                first += batch[1] <= solver._BATCH_FIRST
+                later += batch[1] > solver._BATCH_FIRST
+    assert first and later and blocks
+
+
+def test_int64_gate_sends_a_search_to_the_python_walk(monkeypatch):
+    # one below its gate value a search takes the Python walk, at the value
+    # the batch; both give the same record
+    blocks = count_blocks(monkeypatch)
+    monkeypatch.setattr(solver, "_BATCH_MIN_PAIRS", 0)
+    for A in (gen_bt(300), gen_near_t(200, seed=[9, 3])):
+        cd = canonical(A)
+        (ux, uy), ((h1, _), (_, h2)) = decompose(cd).u_point, _hermite2(cd.points)
+        gate = max(h1 * h2 * ux, uy) * ux
+        records = []
+        for bound, batched in ((gate + 1, True), (gate, False)):
+            monkeypatch.setattr(solver, "_BATCH_INT64_BOUND", bound)
+            blocks.clear()
+            records.append(search_record(cd))
+            assert bool(blocks) == batched
+        assert records[0] == records[1]
+    # the 3 x 120 product with entries above 2**63, its pair bound let under
+    # the limit: far above the gate, it is walked and still wins at pair 120
+    monkeypatch.setattr(solver, "_BATCH_INT64_BOUND", 2**62)
+    monkeypatch.setattr(solver, "MAX_CANDIDATE_PAIRS", 10**30)
+    rows = [[2**64 + j for j in range(120)], [j + 1 for j in range(120)]]
+    rows.append([x + y for x, y in zip(*rows)])
+    blocks.clear()
+    out = solve(rows)
+    assert (out.verdict, out.pairs_examined, blocks) == (RANK2, 120, [])
 
 
 @pytest.mark.parametrize("collect", [False, True])
