@@ -2,8 +2,10 @@
 
 Per-instance wall time is measured around the solve call only (generation
 and parsing excluded).  Every suite runs its instances one after another in
-this process; each instance is generated from its own seed, so the
-non-timing columns are the same on every run.
+this process, after one untimed run of its first instance, so that no
+record pays for the process's first, cold calls.  Each instance is
+generated from its own seed, so the non-timing columns are the same on
+every run.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ def _cell_seed(seed: int, n: int, sigma, i: int) -> list[int]:
     if sigma != int(sigma):
         raise ValueError(f"grid sigmas must be integers, got {sigma}")
     return [seed, n, int(sigma), i]
+
+
+def _cell_instance(seed: int, n: int, sigma, i: int):
+    """Instance i of the grid cell (n, sigma): an n x n product."""
+    return gen_product(n, n, sigma, seed=_cell_seed(seed, n, sigma, i))[2]
 
 
 def _timed(fn, A):
@@ -107,12 +114,10 @@ def run_table1(count: int = 100, seed: int = 0, ns=None, sigmas=None) -> list[Be
     """Per-cell stats for the (n, sigma) grid of square product instances."""
     ns = tuple(ns) if ns else TABLE1_NS
     sigmas = tuple(sigmas) if sigmas else TABLE1_SIGMAS
+    _timed_solve(_cell_instance(seed, ns[0], sigmas[0], 0))  # warm-up, untimed
     records = []
     for n, sigma in ((n, s) for n in ns for s in sigmas):
-        results = [
-            _timed_solve(gen_product(n, n, sigma, seed=_cell_seed(seed, n, sigma, i))[2])
-            for i in range(count)
-        ]
+        results = [_timed_solve(_cell_instance(seed, n, sigma, i)) for i in range(count)]
         records.append(_aggregate(n, n, sigma, results))
     return records
 
@@ -133,12 +138,12 @@ def run_table2(count: int = 100, seed: int = 0, ns=None, sigmas=None) -> list[Be
         raise ValueError(
             f"no table2 cell matches the filter; the (n, sigma) cells are {valid}"
         )
+    _timed_solve_reduce(_cell_instance(seed, *cells[0], 0))  # warm-up, untimed
     records = []
     for n, sigma in cells:
         cell_count = min(count, 3) if n >= 300 else count
         results = [
-            _timed_solve_reduce(gen_product(n, n, sigma, seed=_cell_seed(seed, n, sigma, i))[2])
-            for i in range(cell_count)
+            _timed_solve_reduce(_cell_instance(seed, n, sigma, i)) for i in range(cell_count)
         ]
         rec = _aggregate(n, n, sigma, results)
         rec.reduce_seconds = sum(r[3] for r in results) / len(results)
@@ -151,6 +156,7 @@ def run_bt(tmax: int = 100) -> list[BenchRecord]:
     """One record per t for the hard deterministic 3 x 3 family."""
     if tmax < 1:
         raise ValueError("tmax must be at least 1")
+    _timed_solve(gen_bt(1))  # warm-up, untimed
     return [_single(t, gen_bt(t)) for t in range(1, tmax + 1)]
 
 
@@ -160,6 +166,7 @@ def run_near_t(count: int = 1000, seed: int = 0) -> list[BenchRecord]:
         raise ValueError("count must be at least 1")
     rng = seeded_rng([seed, 999])
     ts = [int(rng.integers(3, 101)) for _ in range(count)]
+    _timed_solve(gen_near_t(ts[0], seed=[seed, 0]))  # warm-up, untimed
     return [_single(t, gen_near_t(t, seed=[seed, i])) for i, t in enumerate(ts)]
 
 

@@ -32,11 +32,11 @@ RANK2 = "rank2"
 NOT_RANK2 = "not_rank2"
 RANK_LE_1 = "rank_le_1"
 
-# The triangle search takes 11-13 ns per pair in its int64 batch and 50-300 ns
-# in its Python walk (2-vCPU Xeon), so 2·10⁸ pairs is 3-60 s.  A search whose
-# pair bound exceeds that (bt(10⁴) bounds at 5·10⁷, near_t(10¹⁹) at 5·10³⁷)
-# gets only PROBE_PAIRS pairs: a rank2 matrix with a huge triangle can still
-# win among its first few.
+# The triangle search takes 10-13 ns per pair in its int64 batch and 50-300 ns
+# in its Python walk (2-vCPU Xeon), so 2·10⁸ pairs is 2.5-60 s.  A search whose
+# pair bound exceeds that (bt(10⁴) bounds at 2.5·10⁷, near_t(10¹⁹) at
+# 2.5·10³⁷) gets only PROBE_PAIRS pairs: a rank2 matrix with a huge triangle
+# can still win among its first few.
 MAX_CANDIDATE_PAIRS = 2 * 10**8
 PROBE_PAIRS = 10**6
 # A search walks its first pairs in Python and hands the int64 batch only
@@ -48,8 +48,10 @@ _BATCH_MIN_PAIRS = 512
 # after the Python walk pays little for it; each later one is 4 times
 # larger, up to a cap that keeps each of a block's arrays at 64 KiB, in
 # cache (at 2**16 pairs a block cost 28 ns per pair on bt(10⁴), at 2**13 11).
+# The cap also bounds the columns in each chunk the blocks are cut from, so
+# no array grows with the number of columns.
 _BATCH_FIRST, _BATCH_MAX = 2**10, 2**13
-# The batch's int64 gate, on G*ux**2 and ux*uy: see search
+# The batch's int64 gate: see _fits_int64
 _BATCH_INT64_BOUND = 2**62
 
 
@@ -119,68 +121,88 @@ def decompose(cd: CanonicalDiagram) -> ConeDecomposition:
     )
 
 
-def _triangle_columns(dec: ConeDecomposition) -> Iterator[tuple[int, int, int]]:
-    """Columns (x, lo, hi) of the triangle K₋ ∩ (u_point − K₊), by x.
+def _x_lo(dec: ConeDecomposition) -> int:
+    """First column of the triangle K₋ ∩ (u_point − K₊): the leftmost vertex
+    abscissa, rounded up, and at least 1 (x = 0 holds only the origin).
 
-    The triangle's lattice points are the (x, y) with lo <= y <= hi (an
-    empty range when lo > hi).  The four half-plane conditions (boundary
-    included, origin excluded):
+    The vertices are u_point and the x-axis hits of the rays u_point − t·v
+    and u_point − t·c; vx, cx >= 0 keep both hits at or left of ux.
+    """
+    ux, uy = dec.u_point
+    (vx, vy), (cx, cy) = dec.v, dec.c
+    return max(1, min(ux, -(-(ux * vy - uy * vx) // vy), -(-(ux * cy - uy * cx) // cy)))
+
+
+def _column_range(dec: ConeDecomposition, x, maximum=max, minimum=min):
+    """lo, hi of column x of the triangle K₋ ∩ (u_point − K₊): its lattice
+    points there are the (x, y) with lo <= y <= hi (none when lo > hi).
+
+    x is an int, or an int64 array of columns with np.maximum and np.minimum
+    as ``maximum`` and ``minimum``.  The four half-plane conditions
+    (boundary included, origin excluded):
 
         cross((1,0), p) >= 0        cross(p, u_point)       >= 0
         cross(v, u_point - p) >= 0  cross(u_point - p, c)   >= 0
 
-    x runs from the leftmost vertex abscissa, rounded up, from 1 (x = 0
-    holds only the origin), to ux: vx, cx >= 0 keep both x-axis hits left
-    of it.  The y-range comes from the same inequalities, in integers.
+    give the y-range in integers; the first two give 0 <= y <= uy*x/ux.
     """
     ux, uy = dec.u_point
-    vx, vy = dec.v
-    cx, cy = dec.c
-    # vertices: u_point and the two x-axis hits of the rays u - t*v, u - t*c
-    cross_uv = ux * vy - uy * vx
-    cross_uc = ux * cy - uy * cx
-    x_lo = max(1, min(ux, -(-cross_uv // vy), -(-cross_uc // cy)))
+    (vx, vy), (cx, cy) = dec.v, dec.c
+    lo, hi = 0, uy * x // ux
     # the last two conditions as alpha*x + beta*y + delta >= 0; where
-    # beta == 0 they hold on all of [x_lo, ux]
-    constraints = (
-        (vy, -vx, vx * uy - vy * ux),
-        (-cy, cx, cross_uc),
-    )
-    for x in range(x_lo, ux + 1):
-        lo, hi = 0, uy * x // ux  # the first two conditions; ux > 0
-        for al, be, de in constraints:
-            s = al * x + de
-            if be > 0:
-                lo = max(lo, -(s // be))
-            elif be < 0:
-                hi = min(hi, s // -be)
-        yield x, lo, hi
+    # beta == 0 they hold on every column from _x_lo to ux
+    for al, be, de in ((vy, -vx, vx * uy - vy * ux), (-cy, cx, ux * cy - uy * cx)):
+        s = al * x + de
+        if be > 0:
+            lo = maximum(lo, -(s // be))
+        elif be < 0:
+            hi = minimum(hi, s // -be)
+    return lo, hi
+
+
+def _triangle_columns(dec: ConeDecomposition) -> Iterator[tuple[int, int, int]]:
+    """Columns (x, lo, hi) of the triangle K₋ ∩ (u_point − K₊), by x, from
+    :func:`_x_lo` to ux; see :func:`_column_range`."""
+    for x in range(_x_lo(dec), dec.u_point[0] + 1):
+        yield (x, *_column_range(dec, x))
 
 
 def triangle_points(dec: ConeDecomposition) -> list[Vec2]:
     """Lattice points of the triangle K₋ ∩ (u_point − K₊), lexicographic;
-    see :func:`_triangle_columns`."""
+    see :func:`_column_range`."""
     return [(x, y) for x, lo, hi in _triangle_columns(dec) for y in range(lo, hi + 1)]
 
 
 def _pair_bound(dec: ConeDecomposition) -> int:
-    """O(1) bound on the pairs :func:`search` examines: columns x = 1..ux (as vx, cx >= 0)
-    of at most uy*x/ux + 1 points, then at most max(v_point) + 1 sweep steps."""
+    """O(1) bound on the pairs :func:`search` examines.
+
+    The triangle K₋ ∩ (u_point − K₊) has vertices u_point,
+    (ux − uy·vx/vy, 0) and (ux − uy·cx/cy, 0), so its area is
+    uy²·cross(v, c)/(2·vy·cy).  The columns x = _x_lo..ux all lie within its
+    x-extent, and column x holds at most h(x) + 1 of its lattice points, for
+    h(x) the length of the triangle's section at x.  h is concave, so on
+    each unit step the trapezoid (h(x) + h(x+1))/2 is at most the area over
+    that step, and the sum of h over the columns is at most the area plus
+    half of h at the first and at the last column, each at most uy.  So the
+    columns hold at most ⌈area⌉ + uy + (ux − _x_lo + 1) pairs, and the b
+    sweep at most max(v_point) + 2 more.
+    """
     ux, uy = dec.u_point
-    return uy * (ux + 1) // 2 + ux + max(dec.v_point) + 2
+    (vx, vy), (cx, cy) = dec.v, dec.c
+    area = -(-uy * uy * (vx * cy - vy * cx) // (2 * vy * cy))
+    return area + uy + ux - _x_lo(dec) + 1 + max(dec.v_point) + 2
 
 
-def _survivors(block, ux: int, uy: int, G: int):
-    """(x, y, C, i) of each pair, i-th in ``block``'s column pieces x, lo, hi (flat), that
-    passes the one-modulo test of :func:`search`; in int64, which the caller gates."""
-    xs, los, his = np.array(block, dtype=np.int64).reshape(-1, 3).T
-    counts = his - los + 1
-    x = np.repeat(xs, counts)
-    i = np.arange(x.size)
-    # y runs from lo up along each piece, which starts at block index cumsum - counts
-    y = i + np.repeat(los - np.cumsum(counts) + counts, counts)
+def _survivors(xs, offsets, N, pieces, first: int, ux: int, uy: int):
+    """(x, y, C, i) of each pair, i-th in a block of column pieces, that
+    passes the one-modulo test of :func:`search`; in int64, which the caller
+    gates.  pieces[j] pairs lie in column xs[j], whose test number is N[j],
+    and the pair with index k, counted from ``first`` for the block's first,
+    has y = k + offsets[j]."""
+    x = np.repeat(xs, pieces)
+    y = np.arange(first, first + x.size) + np.repeat(offsets, pieces)
     C = x * uy - y * ux
-    keep = np.flatnonzero(np.repeat(G * xs * (ux - xs), counts) % C == 0)
+    keep = np.flatnonzero(np.repeat(N, pieces) % C == 0)
     return zip(x[keep].tolist(), y[keep].tolist(), C[keep].tolist(), keep.tolist())
 
 
@@ -215,6 +237,17 @@ def _rejection(pair: CandidatePair, points, i: int) -> PairRejection:
     return PairRejection(pair, i, coeffs)
 
 
+def _fits_int64(dec: ConeDecomposition, G: int) -> bool:
+    """The int64 gate of :func:`search`'s batch: every product it forms, in
+    the one-modulo test and in :func:`_column_range`, stays below
+    _BATCH_INT64_BOUND."""
+    ux, uy = dec.u_point
+    (vx, vy), (cx, cy) = dec.v, dec.c
+    return max(
+        G * ux * ux, uy * ux, abs(vy) * ux + abs(vx * uy - vy * ux), cy * ux + abs(ux * cy - uy * cx)
+    ) < _BATCH_INT64_BOUND
+
+
 def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutcome:
     """Run the bounded generator search on a canonical diagram.
 
@@ -243,13 +276,18 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
 
     With pruning on and a pair bound up to MAX_CANDIDATE_PAIRS, the columns
     x < ux after the first _BATCH_MIN_PAIRS pairs run that test as int64
-    arrays, over blocks of _BATCH_FIRST pairs growing to _BATCH_MAX, and
-    the survivors go through the same index test and full check, in the
-    same order.  Gate: as 0 <= y <= uy, every x*uy, y*ux <= ux*uy and
-    N <= G*ux**2/4, so with both bounds below _BATCH_INT64_BOUND = 2**62
-    nothing overflows; otherwise, as in the dx == 0 column and the b sweep,
-    the Python walk runs, at any magnitude.  Either way ``pairs_examined``
-    and every record are the same.
+    arrays.  They are taken in chunks of up to _BATCH_MAX columns; each
+    chunk's column bounds and the prefix sum of its column lengths come
+    from a fixed number of array operations, and the chunk's pairs are cut
+    into blocks of _BATCH_FIRST pairs growing to _BATCH_MAX, whose survivors
+    go through the same index test and full check, in the same order.
+    Gate: as 0 <= y <= uy, every x*uy, y*ux <= ux*uy and N <= G*ux**2/4;
+    the column bounds' products stay within |vy|*ux + |vx*uy - vy*ux| and
+    cy*ux + |ux*cy - uy*cx|, and a chunk's prefix sum within the pair bound.
+    With all of these below _BATCH_INT64_BOUND = 2**62 nothing overflows;
+    otherwise, as in the dx == 0 column and the b sweep, the Python walk
+    runs, at any magnitude.  Either way ``pairs_examined`` and every record
+    are the same.
 
     When :func:`_pair_bound` exceeds MAX_CANDIDATE_PAIRS, it raises
     ValueError once PROBE_PAIRS pairs go by without a winner.
@@ -288,37 +326,14 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
             return None
         return full_check((x // g1, y // g1), (dx // g2, dy // g2), pairs)
 
-    batched = prune and bound <= MAX_CANDIDATE_PAIRS
-    batched = batched and max(G * ux, uy) * ux < _BATCH_INT64_BOUND
-    block: list[int] = []  # queued column pieces x, lo, hi with x < ux, flat
-    size = room = _BATCH_FIRST
     pairs = 0
 
-    def flush() -> SolveOutcome | None:
-        nonlocal pairs, size, room
-        for x, y, C, i in _survivors(block, ux, uy, G):
-            out = check(x, y, C, pairs + i + 1)
-            if out is not None:
-                return out
-        pairs += size - room
-        block.clear()
-        size = room = min(4 * size, _BATCH_MAX)
-        return None
-
-    for x, lo, hi in _triangle_columns(dec):
-        at_u = x == ux
-        if batched and not at_u and pairs >= _BATCH_MIN_PAIRS:
-            while lo <= hi:  # queue the column, cut at block ends
-                n = min(hi - lo + 1, room)
-                block += x, lo, lo + n - 1
-                lo, room = lo + n, room - n
-                if not room and (out := flush()) is not None:
-                    return out
-            continue
-        if block and (out := flush()) is not None:
-            return out
-        if at_u:
-            # u_point tops its column; its pairs come from the sweep below
+    def walk(x: int) -> SolveOutcome | None:
+        # column x in Python ints, at any magnitude, up to the limit
+        nonlocal pairs
+        lo, hi = _column_range(dec, x)
+        if x == ux:
+            # u_point tops its column; its pairs come from the b sweep
             if hi != uy:
                 raise RuntimeError("internal error: u_point is not its column's top")
             hi -= 1
@@ -338,27 +353,70 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
         pairs += max(0, hi - lo + 1)
         if over:
             raise ValueError(refusal.format(bound, MAX_CANDIDATE_PAIRS, limit))
-        if not at_u:
-            continue
-        a = dec.u
-        vx, vy = dec.v_point
-        # cross(a, q) = cross(a, v_point) for every q = v_point - k2*a
-        cross_aq = a[0] * vy - a[1] * vx
-        k2, qx, qy = 0, vx, vy
-        while in_cone((qx, qy), (1, 0), dec.c):
-            pairs += 1
-            if pairs > limit:
-                raise ValueError(refusal.format(bound, MAX_CANDIDATE_PAIRS, limit))
-            g = gcd(qx, qy)
-            if not (prune and G % (cross_aq // g)):
-                out = full_check(a, (qx // g, qy // g), pairs)
-                if out is not None:
-                    return out
-            k2 += 1
-            qx, qy = vx - k2 * a[0], vy - k2 * a[1]
-        # the sweep leaves the cone after at most max(v_point) + 1 steps
-        if k2 > 1 + max(vx, vy):
-            raise RuntimeError("internal error: the b sweep overran its bound")
+        return None
+
+    def batch(x0: int) -> SolveOutcome | None:
+        # the columns x0..ux-1 in int64, under the bound, so never past the limit
+        nonlocal pairs
+        size = _BATCH_FIRST
+        for start in range(x0, ux, _BATCH_MAX):
+            xs = np.arange(start, min(start + _BATCH_MAX, ux), dtype=np.int64)
+            lo, hi = _column_range(dec, xs, np.maximum, np.minimum)
+            counts = np.maximum(hi - lo + 1, 0)
+            ends = np.cumsum(counts)
+            # y - k for the chunk's k-th pair: a column's last, k = ends - 1, has y = hi
+            offsets = hi + 1 - ends
+            N = G * xs * (ux - xs)
+            done, total = 0, int(ends[-1])
+            while done < total:
+                cut = min(done + size, total)
+                # the columns whose pieces hold the chunk's pairs done..cut-1,
+                # the first and the last piece trimmed to them
+                j0, j1 = np.searchsorted(ends, (done, cut - 1), side="right")
+                cols = slice(j0, j1 + 1)
+                pieces = counts[cols].copy()
+                pieces[0] -= done - (ends[j0] - counts[j0])
+                pieces[-1] -= ends[j1] - cut
+                for x, y, C, i in _survivors(
+                    xs[cols], offsets[cols], N[cols], pieces, done, ux, uy
+                ):
+                    out = check(x, y, C, pairs + i + 1)
+                    if out is not None:
+                        return out
+                pairs += cut - done
+                done = cut
+                size = min(4 * size, _BATCH_MAX)
+        return None
+
+    batched = prune and bound <= MAX_CANDIDATE_PAIRS and _fits_int64(dec, G)
+    x = _x_lo(dec)
+    while x < ux and not (batched and pairs >= _BATCH_MIN_PAIRS):
+        if (out := walk(x)) is not None:
+            return out
+        x += 1
+    if x < ux and (out := batch(x)) is not None:
+        return out
+    if (out := walk(ux)) is not None:
+        return out
+    a = dec.u
+    vx, vy = dec.v_point
+    # cross(a, q) = cross(a, v_point) for every q = v_point - k2*a
+    cross_aq = a[0] * vy - a[1] * vx
+    k2, qx, qy = 0, vx, vy
+    while in_cone((qx, qy), (1, 0), dec.c):
+        pairs += 1
+        if pairs > limit:
+            raise ValueError(refusal.format(bound, MAX_CANDIDATE_PAIRS, limit))
+        g = gcd(qx, qy)
+        if not (prune and G % (cross_aq // g)):
+            out = full_check(a, (qx // g, qy // g), pairs)
+            if out is not None:
+                return out
+        k2 += 1
+        qx, qy = vx - k2 * a[0], vy - k2 * a[1]
+    # the sweep leaves the cone after at most max(v_point) + 1 steps
+    if k2 > 1 + max(vx, vy):
+        raise RuntimeError("internal error: the b sweep overran its bound")
     return SolveOutcome(NOT_RANK2, None, pairs, rejections=rejections)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import SUBMATRIX_4COL, run_python
@@ -460,7 +461,7 @@ def test_pair_bound_covers_the_exact_count():
 
 
 def test_search_refuses_a_pair_bound_above_the_limit():
-    # near_t(10**19) bounds at about 5*10**37 pairs; a child process, so a
+    # near_t(10**19) bounds at about 2.5*10**37 pairs; a child process, so a
     # search that does not refuse fails on the timeout instead of hanging
     code = (
         "from nnirank2 import gen_near_t, solve\n"
@@ -472,7 +473,7 @@ def test_search_refuses_a_pair_bound_above_the_limit():
     proc = run_python("-c", code)
     assert proc.stdout == (
         "the triangle search would examine up to"
-        " 50000000000000000025000000000000000005 candidate pairs, above the"
+        " 25000000000000000020000000000000000006 candidate pairs, above the"
         " limit of 200000000, and none of the first 1000000 wins\n"
     )
     # the largest bt and near_t the paper's grids reach stay below the limit
@@ -488,6 +489,23 @@ def test_search_above_the_limit_keeps_an_early_winner():
     assert solver._pair_bound(decompose(canonical(rows))) > solver.MAX_CANDIDATE_PAIRS
     out = solve(rows)
     assert (out.verdict, out.pairs_examined) == (RANK2, 120)
+
+
+def thin_product():
+    """A 3 x 3 rank2 product whose triangle is thin: 394,604 columns hold
+    4,193,538 pairs, and its columns alone would bound it at 10**11."""
+    return gen_product(3, 3, 1000, seed=[5150, 5])[2]
+
+
+def test_thin_triangle_runs_under_the_area_bound():
+    # a bound from the column count would refuse it after the probe pairs; the
+    # triangle's area bounds it at about 5.3 * 10**6, so it runs to its winner
+    A = thin_product()
+    for r, pairs in ((1, 1460835), (2, 171572)):
+        out = solve(A, r=r)
+        assert (out.verdict, out.pairs_examined) == (RANK2, pairs)
+        assert verify_factorization(A, out.certificate.F1, out.certificate.F2)
+        assert solver._pair_bound(decompose(canonical(A, r))) <= solver.MAX_CANDIDATE_PAIRS
 
 
 def count_blocks(monkeypatch) -> list:
@@ -512,7 +530,7 @@ def search_record(cd):
 def test_int64_batch_matches_the_python_walk(monkeypatch):
     # the size cut at 0 sends every search to the int64 batch, above every
     # bound to the Python walk: verdicts, pairs_examined and certificates agree
-    corpus = [gen_bt(t) for t in range(1, 301)] + [gen_bt(2000)]
+    corpus = [gen_bt(t) for t in range(1, 301)] + [gen_bt(2000), thin_product()]
     corpus += [gen_near_t(3 + 3 * i, seed=[77, i]) for i in range(100)]
     for i, (n, sigma) in enumerate((n, s) for n in (2, 3, 5, 10) for s in (3, 10, 25)):
         A = gen_product(n, n + i % 3, sigma, seed=[78, i])[2]
@@ -535,6 +553,30 @@ def test_int64_batch_matches_the_python_walk(monkeypatch):
                 first += batch[1] <= solver._BATCH_FIRST
                 later += batch[1] > solver._BATCH_FIRST
     assert first and later and blocks
+
+
+def test_int64_batch_arrays_stay_within_the_block_cap(monkeypatch):
+    # the batch takes the thin product's columns in chunks and their pairs in
+    # blocks, none longer than _BATCH_MAX, and never one array over all columns
+    chunks, blocks = [], []
+    column_range, survivors = solver._column_range, solver._survivors
+
+    def ranged(dec, x, *args):
+        if isinstance(x, np.ndarray):
+            chunks.append(x.size)
+        return column_range(dec, x, *args)
+
+    def counted(xs, offsets, N, pieces, *args):
+        assert xs.size == offsets.size == N.size == pieces.size
+        blocks.append(int(pieces.sum()))
+        return survivors(xs, offsets, N, pieces, *args)
+
+    monkeypatch.setattr(solver, "_column_range", ranged)
+    monkeypatch.setattr(solver, "_survivors", counted)
+    assert solve(thin_product()).pairs_examined == 1460835
+    assert len(chunks) > 1 and max(chunks) == solver._BATCH_MAX
+    assert blocks[0] == solver._BATCH_FIRST and max(blocks) == solver._BATCH_MAX
+    assert min(blocks) > 0
 
 
 def test_int64_gate_sends_a_search_to_the_python_walk(monkeypatch):
