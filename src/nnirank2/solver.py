@@ -289,11 +289,20 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     runs, at any magnitude.  Either way ``pairs_examined`` and every record
     are the same.
 
-    When :func:`_pair_bound` exceeds MAX_CANDIDATE_PAIRS, it raises
-    ValueError once PROBE_PAIRS pairs go by without a winner.
+    When :func:`_pair_bound` exceeds MAX_CANDIDATE_PAIRS but the bound at
+    the other canonization index, that of ``canonicalize(cd, 2)``, is within
+    it, the search runs on that diagram instead: its points are those of
+    the other index's canonical diagram, so the verdict, ``pairs_examined``,
+    every record and the certificate are the other index's.  When both
+    bounds exceed it, it raises ValueError once PROBE_PAIRS pairs go by
+    without a winner.
     """
     dec = decompose(cd)
     bound = _pair_bound(dec)
+    if bound > MAX_CANDIDATE_PAIRS:
+        other = canonicalize(cd, 2)
+        if _pair_bound(decompose(other)) <= MAX_CANDIDATE_PAIRS:
+            return search(other, collect_rejections)
     limit = MAX_CANDIDATE_PAIRS if bound <= MAX_CANDIDATE_PAIRS else PROBE_PAIRS
     refusal = (
         "the triangle search would examine up to {} candidate pairs, above"

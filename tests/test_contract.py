@@ -13,6 +13,15 @@ from nnirank2.linalg import as_int_matrix, rank_exact
 from nnirank2.reduction import reduce_to_3x3, validate_equivalence
 from nnirank2.solver import solve, verify_factorization
 
+
+def object_matrix(entry):
+    """The 2 x 2 identity as an object array, with entry at (1, 1)."""
+    A = np.empty((2, 2), dtype=object)
+    A[:] = [[1, 0], [0, 1]]
+    A[1, 1] = entry
+    return A
+
+
 NOT_INTEGER = [
     [[True, False], [False, True]],
     np.array([[True, False], [False, True]]),
@@ -21,6 +30,7 @@ NOT_INTEGER = [
     [[1, 0], [0, np.float64(1.0)]],
     [["1", 0], [0, 1]],
     [[Fraction(1), 0], [0, 1]],
+    *(object_matrix(x) for x in (True, 1.0, Fraction(1), "1", [1])),
 ]
 
 
@@ -35,11 +45,41 @@ def test_entry_points_reject_non_integer_entries(bad):
 
 
 def test_integer_types_are_accepted_as_python_ints():
-    for data in ([[2, 0], [0, 3]], np.array([[2, 0], [0, 3]]), [[np.int64(2), 0], [0, np.uint8(3)]]):
+    for data in (
+        [[2, 0], [0, 3]],
+        np.array([[2, 0], [0, 3]]),
+        [[np.int64(2), 0], [0, np.uint8(3)]],
+        np.array([[np.int64(2), np.int64(0)], [np.int64(0), np.int64(3)]], dtype=object),
+    ):
         M = as_int_matrix(data)
         assert M.tolist() == [[2, 0], [0, 3]]
         assert all(type(x) is int for x in M.flat)
     assert solve(np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)).verdict == "rank2"
+
+
+def test_an_exact_object_array_comes_back_as_a_copy():
+    A = np.array([[1, 2], [3, 2**70]], dtype=object)
+    M = as_int_matrix(A)
+    assert M is not A and M.tolist() == [[1, 2], [3, 2**70]]
+    M[0, 0] = 9
+    assert A[0, 0] == 1
+    A[1, 1] = 5
+    assert M[1, 1] == 2**70
+
+
+@pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")  # np.matrix
+def test_matrix_and_masked_object_input_come_back_as_plain_arrays():
+    rows = [[1, 2], [3, 4]]
+    for data in (np.asmatrix(np.array(rows, dtype=object)), np.ma.array(np.array(rows, dtype=object))):
+        M = as_int_matrix(data)
+        assert type(M) is np.ndarray and M.dtype == object
+        assert M.tolist() == rows and all(type(x) is int for x in M.flat)
+
+
+def test_views_of_an_object_array_give_their_own_entries():
+    A = np.array([[1, 2, 3, 4], [5, 6, 7, 8]], dtype=object)
+    assert as_int_matrix(A.T).tolist() == [[1, 5], [2, 6], [3, 7], [4, 8]]
+    assert as_int_matrix(A[:, ::2]).tolist() == [[1, 3], [5, 7]]
 
 
 @pytest.mark.parametrize("bad", [[], [[]], [[1, 2], [3]], [1, 2], np.array([1, 2]), 5])

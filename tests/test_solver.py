@@ -508,6 +508,19 @@ def test_thin_triangle_runs_under_the_area_bound():
         assert solver._pair_bound(decompose(canonical(A, r))) <= solver.MAX_CANDIDATE_PAIRS
 
 
+def test_search_takes_the_other_index_when_only_it_fits():
+    # r=2 bounds this product at 241,282,669 pairs, above the limit, and r=1
+    # at 154,767,334; the r=2 search runs on the r=1 diagram and wins there
+    A = 7 * gen_product(3, 6, 1000, seed=[5452, 0])[2]
+    bounds = [solver._pair_bound(decompose(canonical(A, r))) for r in (1, 2)]
+    assert bounds[0] <= solver.MAX_CANDIDATE_PAIRS < bounds[1]
+    assert canonicalize(canonical(A, 2), 2).points == canonical(A, 1).points
+    first, second = solve(A, r=1), solve(A, r=2)
+    assert (second.verdict, second.pairs_examined) == (RANK2, first.pairs_examined)
+    assert second.pairs_examined == 4627515
+    assert verify_factorization(A, second.certificate.F1, second.certificate.F2)
+
+
 def count_blocks(monkeypatch) -> list:
     """Record every block the int64 batch of search tests."""
     blocks = []
