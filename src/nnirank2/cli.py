@@ -15,7 +15,7 @@ from pathlib import Path
 from . import bench
 from .diagram import build_diagram, canonicalize
 from .instances import gen_bt, gen_near_t, gen_product
-from .matrixio import format_matrix, load_matrix, write_matrix
+from .matrixio import base10_int, format_matrix, load_matrix, write_matrix
 from .oracle import brute_force
 from .reduction import ReductionTrace, reduce_to_3x3
 from .solver import NOT_RANK2, RANK2, RANK_LE_1, SolveOutcome, solve
@@ -155,7 +155,11 @@ def cmd_generate(args) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    # an empty list would filter nothing: refused, like any bad item
+    items = [base10_int(tok.strip()) for tok in text.split(",") if tok.strip()]
+    if not items:
+        raise ValueError(f"{text!r} lists no integer")
+    return items
 
 
 # each suite's runner and the flags it reads, mapped to the runner's keywords
@@ -246,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", help="decide and factor a matrix file")
     p.add_argument("input", help="matrix text file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--r", type=int, choices=(1, 2), default=1, help="canonization index")
+    p.add_argument("--r", type=base10_int, choices=(1, 2), default=1, help="canonization index")
     p.add_argument("--explain", action="store_true", help="print the first failing point per rejected pair")
     p.set_defaults(fn=cmd_factor)
 
@@ -259,12 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write seeded random instances")
     p.add_argument("--kind", choices=("product", "bt", "near_t"), required=True)
     # no defaults here, as for bench: _KINDS holds them
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
+    p.add_argument("--rows", type=base10_int)
+    p.add_argument("--cols", type=base10_int)
     p.add_argument("--sigma", type=float)
-    p.add_argument("--t", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--t", type=base10_int)
+    p.add_argument("--seed", type=base10_int)
+    p.add_argument("--count", type=base10_int, default=1)
     p.add_argument("--outdir", default=".")
     p.set_defaults(fn=cmd_generate)
 
@@ -272,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("table1", "table2", "bt", "near_t"), required=True)
     # no defaults here: the suite's runner holds them, and a flag left unset
     # stays None, so cmd_bench can refuse one its suite does not read
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int, help="instances per cell")
-    p.add_argument("--tmax", type=int, help="largest t for the bt suite")
+    p.add_argument("--seed", type=base10_int)
+    p.add_argument("--count", type=base10_int, help="instances per cell")
+    p.add_argument("--tmax", type=base10_int, help="largest t for the bt suite")
     p.add_argument("--n", type=_int_list, help="comma list restricting the n grid")
     p.add_argument("--sigma", type=_int_list, help="comma list restricting the sigma grid")
     p.add_argument("--out", help="CSV output path (default stdout)")
@@ -283,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagram", help="emit the plane diagram of a matrix")
     p.add_argument("input")
     p.add_argument("--canonical", action="store_true", help="emit the canonical form and transform")
-    p.add_argument("--r", type=int, choices=(1, 2), help="canonization index (needs --canonical)")
+    p.add_argument("--r", type=base10_int, choices=(1, 2), help="canonization index (needs --canonical)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_diagram)
 

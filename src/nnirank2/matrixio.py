@@ -15,18 +15,25 @@ import numpy as np
 from .linalg import as_int_matrix
 
 
+def base10_int(token: str) -> int:
+    """The integer a token spells as an optional sign and ASCII digits;
+    ValueError otherwise.  int() alone would also take "1_0", " 7" and
+    non-ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise ValueError(f"{token!r} is not a base-10 integer")
+    return int(token)
+
+
 def parse_matrix(text: str) -> np.ndarray:
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        tokens = stripped.split()
-        for tok in tokens:
-            # int() alone would also take "1_0" and non-ASCII digits such as "\u0663"
-            if not re.fullmatch(r"[+-]?[0-9]+", tok):
-                raise ValueError(f"line {lineno}: {tok!r} is not a base-10 integer")
-        rows.append([int(tok) for tok in tokens])
+        try:
+            rows.append([base10_int(tok) for tok in stripped.split()])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if not rows:
         raise ValueError("no matrix rows found")
     return as_int_matrix(rows)

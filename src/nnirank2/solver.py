@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
 
 import numpy as np
 
@@ -160,17 +159,14 @@ def _column_range(dec: ConeDecomposition, x, maximum=max, minimum=min):
     return lo, hi
 
 
-def _triangle_columns(dec: ConeDecomposition) -> Iterator[tuple[int, int, int]]:
-    """Columns (x, lo, hi) of the triangle K₋ ∩ (u_point − K₊), by x, from
-    :func:`_x_lo` to ux; see :func:`_column_range`."""
-    for x in range(_x_lo(dec), dec.u_point[0] + 1):
-        yield (x, *_column_range(dec, x))
-
-
 def triangle_points(dec: ConeDecomposition) -> list[Vec2]:
-    """Lattice points of the triangle K₋ ∩ (u_point − K₊), lexicographic;
-    see :func:`_column_range`."""
-    return [(x, y) for x, lo, hi in _triangle_columns(dec) for y in range(lo, hi + 1)]
+    """Lattice points of the triangle K₋ ∩ (u_point − K₊), lexicographic:
+    its columns x = :func:`_x_lo`..ux, each from :func:`_column_range`."""
+    points: list[Vec2] = []
+    for x in range(_x_lo(dec), dec.u_point[0] + 1):
+        lo, hi = _column_range(dec, x)
+        points += ((x, y) for y in range(lo, hi + 1))
+    return points
 
 
 def _pair_bound(dec: ConeDecomposition) -> int:
@@ -194,16 +190,15 @@ def _pair_bound(dec: ConeDecomposition) -> int:
 
 
 def _survivors(xs, offsets, N, pieces, first: int, ux: int, uy: int):
-    """(x, y, C, i) of each pair, i-th in a block of column pieces, that
+    """(x, y, i) of each pair, i-th in a block of column pieces, that
     passes the one-modulo test of :func:`search`; in int64, which the caller
     gates.  pieces[j] pairs lie in column xs[j], whose test number is N[j],
     and the pair with index k, counted from ``first`` for the block's first,
     has y = k + offsets[j]."""
     x = np.repeat(xs, pieces)
     y = np.arange(first, first + x.size) + np.repeat(offsets, pieces)
-    C = x * uy - y * ux
-    keep = np.flatnonzero(np.repeat(N, pieces) % C == 0)
-    return zip(x[keep].tolist(), y[keep].tolist(), C[keep].tolist(), keep.tolist())
+    keep = np.flatnonzero(np.repeat(N, pieces) % (x * uy - y * ux) == 0)
+    return zip(x[keep].tolist(), y[keep].tolist(), keep.tolist())
 
 
 def _coefficients(a: Vec2, b: Vec2, points) -> list[Vec2] | int:
@@ -256,7 +251,8 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     u_point - k*a; when k*a == u_point, b sweeps the directions
     v_point - k'*a for k' = 0, 1, ... while they stay in the ambient cone.
     The first pair generating every point wins; the outcome is fully
-    deterministic.
+    deterministic.  The pairs come as one ordered stream of (a, b, k), k
+    counting from 1 in that order, and one loop checks each of them.
 
     Each pair first meets an O(1) divisibility test.  Let G be the index in
     Z² of the lattice L_P the points generate.  If (a, b) generates every
@@ -280,7 +276,7 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     chunk's column bounds and the prefix sum of its column lengths come
     from a fixed number of array operations, and the chunk's pairs are cut
     into blocks of _BATCH_FIRST pairs growing to _BATCH_MAX, whose survivors
-    go through the same index test and full check, in the same order.
+    join the stream in the same order.
     Gate: as 0 <= y <= uy, every x*uy, y*ux <= ux*uy and N <= G*ux**2/4;
     the column bounds' products stay within |vy|*ux + |vx*uy - vy*ux| and
     cy*ux + |ux*cy - uy*cx|, and a chunk's prefix sum within the pair bound.
@@ -295,7 +291,8 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     the other index's canonical diagram, so the verdict, ``pairs_examined``,
     every record and the certificate are the other index's.  When both
     bounds exceed it, it raises ValueError once PROBE_PAIRS pairs go by
-    without a winner.
+    without a winner; under ``collect_rejections`` a pruned probe runs
+    first, so a refusal costs no record of each rejected pair.
     """
     dec = decompose(cd)
     bound = _pair_bound(dec)
@@ -304,40 +301,27 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
         if _pair_bound(decompose(other)) <= MAX_CANDIDATE_PAIRS:
             return search(other, collect_rejections)
     limit = MAX_CANDIDATE_PAIRS if bound <= MAX_CANDIDATE_PAIRS else PROBE_PAIRS
+    if collect_rejections and limit == PROBE_PAIRS:
+        search(cd)  # a probe without a winner refuses here, before any record is kept
     refusal = (
-        "the triangle search would examine up to {} candidate pairs, above"
-        " the limit of {}, and none of the first {} wins"
+        f"the triangle search would examine up to {bound} candidate pairs, above"
+        f" the limit of {MAX_CANDIDATE_PAIRS}, and none of the first {limit} wins"
     )
     points = cd.points
     (h1, _), (_, h2) = _hermite2(points)
     G = h1 * h2  # the point lattice's index: det of its Hermite basis
     rejections: list[PairRejection] | None = [] if collect_rejections else None
     prune = rejections is None
-
-    def full_check(a: Vec2, b: Vec2, pairs: int) -> SolveOutcome | None:
-        W = _coefficients(a, b, points)
-        if not isinstance(W, int):
-            cert = assemble(cd, CandidatePair(a, b), W)
-            return SolveOutcome(RANK2, cert, pairs, rejections=rejections)
-        if rejections is not None:
-            rejections.append(_rejection(CandidatePair(a, b), points, W))
-        return None
-
     ux, uy = dec.u_point
+    pairs = 0  # the pairs counted so far, after each column, block and sweep step
 
-    def check(x: int, y: int, C: int, pairs: int) -> SolveOutcome | None:
-        # the index test, then the full check, of the pair from k*a = (x, y):
-        # a = k*a / g1 and b = (u_point - k*a) / g2, so cross(a, b) = C / (g1*g2)
-        g1 = gcd(x, y)
-        dx, dy = ux - x, uy - y
+    def pair(x: int, y: int, k: int) -> tuple[Vec2, Vec2, int]:
+        # the k-th pair, from k*a = (x, y): a = k*a / g1, b = (u_point - k*a) / g2
+        g1, dx, dy = gcd(x, y), ux - x, uy - y
         g2 = gcd(dx, dy)
-        if prune and G % (C // (g1 * g2)):
-            return None
-        return full_check((x // g1, y // g1), (dx // g2, dy // g2), pairs)
+        return (x // g1, y // g1), (dx // g2, dy // g2), k
 
-    pairs = 0
-
-    def walk(x: int) -> SolveOutcome | None:
+    def walk(x: int):
         # column x in Python ints, at any magnitude, up to the limit
         nonlocal pairs
         lo, hi = _column_range(dec, x)
@@ -353,18 +337,14 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
         N = G * x * (ux - x) if prune else 0
         # C = cross(k*a, u_point) = x*uy - y*ux for y = lo, ..., hi
         for C in range(top - lo * ux, top - hi * ux - 1, -ux):
-            if N % C:
-                continue
-            y = (top - C) // ux
-            out = check(x, y, C, pairs + y - lo + 1)
-            if out is not None:
-                return out
+            if N % C == 0:
+                y = (top - C) // ux
+                yield pair(x, y, pairs + y - lo + 1)
         pairs += max(0, hi - lo + 1)
         if over:
-            raise ValueError(refusal.format(bound, MAX_CANDIDATE_PAIRS, limit))
-        return None
+            raise ValueError(refusal)
 
-    def batch(x0: int) -> SolveOutcome | None:
+    def batch(x0: int):
         # the columns x0..ux-1 in int64, under the bound, so never past the limit
         nonlocal pairs
         size = _BATCH_FIRST
@@ -386,46 +366,53 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
                 pieces = counts[cols].copy()
                 pieces[0] -= done - (ends[j0] - counts[j0])
                 pieces[-1] -= ends[j1] - cut
-                for x, y, C, i in _survivors(
+                for x, y, i in _survivors(
                     xs[cols], offsets[cols], N[cols], pieces, done, ux, uy
                 ):
-                    out = check(x, y, C, pairs + i + 1)
-                    if out is not None:
-                        return out
+                    yield pair(x, y, pairs + i + 1)
                 pairs += cut - done
                 done = cut
                 size = min(4 * size, _BATCH_MAX)
-        return None
 
-    batched = prune and bound <= MAX_CANDIDATE_PAIRS and _fits_int64(dec, G)
-    x = _x_lo(dec)
-    while x < ux and not (batched and pairs >= _BATCH_MIN_PAIRS):
-        if (out := walk(x)) is not None:
-            return out
-        x += 1
-    if x < ux and (out := batch(x)) is not None:
-        return out
-    if (out := walk(ux)) is not None:
-        return out
-    a = dec.u
-    vx, vy = dec.v_point
-    # cross(a, q) = cross(a, v_point) for every q = v_point - k2*a
-    cross_aq = a[0] * vy - a[1] * vx
-    k2, qx, qy = 0, vx, vy
-    while in_cone((qx, qy), (1, 0), dec.c):
-        pairs += 1
-        if pairs > limit:
-            raise ValueError(refusal.format(bound, MAX_CANDIDATE_PAIRS, limit))
-        g = gcd(qx, qy)
-        if not (prune and G % (cross_aq // g)):
-            out = full_check(a, (qx // g, qy // g), pairs)
-            if out is not None:
-                return out
-        k2 += 1
-        qx, qy = vx - k2 * a[0], vy - k2 * a[1]
-    # the sweep leaves the cone after at most max(v_point) + 1 steps
-    if k2 > 1 + max(vx, vy):
-        raise RuntimeError("internal error: the b sweep overran its bound")
+    def sweep():
+        # b = v_point - k2*a, primitive, for k2 = 0, 1, ... while in the cone
+        nonlocal pairs
+        a = dec.u
+        vx, vy = dec.v_point
+        k2, qx, qy = 0, vx, vy
+        while in_cone((qx, qy), (1, 0), dec.c):
+            pairs += 1
+            if pairs > limit:
+                raise ValueError(refusal)
+            g = gcd(qx, qy)
+            yield a, (qx // g, qy // g), pairs
+            k2 += 1
+            qx, qy = vx - k2 * a[0], vy - k2 * a[1]
+        # the sweep leaves the cone after at most max(v_point) + 1 steps
+        if k2 > 1 + max(vx, vy):
+            raise RuntimeError("internal error: the b sweep overran its bound")
+
+    def stream():
+        # the walked prefix, the batch, u_point's column, then the b sweep
+        batched = prune and bound <= MAX_CANDIDATE_PAIRS and _fits_int64(dec, G)
+        x = _x_lo(dec)
+        while x < ux and not (batched and pairs >= _BATCH_MIN_PAIRS):
+            yield from walk(x)
+            x += 1
+        if x < ux:
+            yield from batch(x)
+        yield from walk(ux)
+        yield from sweep()
+
+    for a, b, k in stream():
+        if prune and G % (a[0] * b[1] - a[1] * b[0]):
+            continue  # the index test: cross(a, b) does not divide G
+        W = _coefficients(a, b, points)
+        if not isinstance(W, int):
+            cert = assemble(cd, CandidatePair(a, b), W)
+            return SolveOutcome(RANK2, cert, k, rejections=rejections)
+        if rejections is not None:
+            rejections.append(_rejection(CandidatePair(a, b), points, W))
     return SolveOutcome(NOT_RANK2, None, pairs, rejections=rejections)
 
 

@@ -423,6 +423,52 @@ def test_bench_table2_filter_matching_no_cell_exit2(args, capsys):
     assert "(10, 3), (10, 6), (10, 10), (10, 25), (300, 3)" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--suite", "table1", "--n", "", "--sigma", "3", "--count", "1"],
+        ["bench", "--suite", "table1", "--n", " , ", "--sigma", "3", "--count", "1"],
+        ["bench", "--suite", "table1", "--n", "1_0", "--sigma", "3", "--count", "1"],
+        ["bench", "--suite", "table1", "--n", "10", "--sigma", "\u0663", "--count", "1"],
+        ["bench", "--suite", "table1", "--n", "10", "--sigma", "3", "--count", "1_0"],
+        ["bench", "--suite", "bt", "--tmax", "\u0663"],
+        ["bench", "--suite", "near_t", "--count", "1", "--seed", "1_0"],
+        ["generate", "--kind", "bt", "--t", "1_0"],
+        ["generate", "--kind", "near_t", "--t", "1\u0660"],
+        ["generate", "--kind", "product", "--rows", "\u0663"],
+        ["generate", "--kind", "product", "--cols", " 3"],
+        ["generate", "--kind", "bt", "--count", "1_0"],
+    ],
+)
+def test_integer_flags_refuse_what_matrix_files_refuse_exit2(argv, tmp_path, capsys):
+    # int() takes "1_0", " 3" and non-ASCII digits, which parse_matrix
+    # refuses; an empty --n list used to mean every n of the grid
+    out = tmp_path / "out"
+    where = ["--outdir", str(out)] if argv[0] == "generate" else ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *where])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "invalid" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("r", ["\u0661", "+\u0662", "0_1"])
+def test_factor_r_refuses_what_matrix_files_refuse_exit2(r, tmp_path, capsys):
+    path = write(tmp_path, "b.txt", BEASLEY)
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", "--r", r, path])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_bench_n_list_keeps_blanks_and_signs(capsys):
+    rc = main(["bench", "--suite", "table2", "--count", "1", "--n", " +10 ,", "--sigma", "3"])
+    assert rc == 0
+    assert len(_parse_csv(capsys.readouterr().out)[1]) == 1
+
+
 def test_bench_bt_csv(capsys):
     rc = main(["bench", "--suite", "bt", "--tmax", "4"])
     out = capsys.readouterr().out

@@ -1,12 +1,13 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from conftest import SUBMATRIX_4COL, run_python
-from nnirank2.diagram import Diagram, build_diagram, canonicalize
+from nnirank2.diagram import Diagram, build_diagram, canonicalize, in_cone
 from nnirank2 import solver
 from nnirank2.instances import gen_bt, gen_near_t, gen_product
 from nnirank2.linalg import _hermite2, as_int_matrix, cross2, primitive_point, rank_exact
@@ -481,6 +482,16 @@ def test_search_refuses_a_pair_bound_above_the_limit():
         assert solver._pair_bound(decompose(canonical(A))) <= solver.MAX_CANDIDATE_PAIRS
 
 
+def test_collecting_probe_refuses_before_keeping_a_record(monkeypatch):
+    # near_t(10**19) under collect_rejections used to record its first 10**6
+    # rejected pairs, 24 s and 827 MiB on a 2-vCPU host, before refusing
+    records = []
+    monkeypatch.setattr(solver, "_rejection", lambda *args: records.append(args))
+    with pytest.raises(ValueError, match="none of the first 1000000 wins$"):
+        search(canonical(gen_near_t(10**19, seed=0)), collect_rejections=True)
+    assert records == []
+
+
 def test_search_above_the_limit_keeps_an_early_winner():
     # a 3 x 120 product with entries above 2**63: its triangle holds about
     # 10**19 points, but the first 120 pairs already hold the winner
@@ -560,8 +571,8 @@ def test_int64_batch_matches_the_python_walk(monkeypatch):
             assert search_record(cd) == batch, (A.tolist(), r)
             assert len(blocks) == n_blocks
             dec = decompose(cd)
-            columns = solver._triangle_columns(dec)
-            batched = sum(max(0, hi - lo + 1) for x, lo, hi in columns if x < dec.u_point[0])
+            ranges = (solver._column_range(dec, x) for x in range(solver._x_lo(dec), dec.u_point[0]))
+            batched = sum(max(0, hi - lo + 1) for lo, hi in ranges)
             if batch[0] == RANK2 and batch[1] <= batched:
                 first += batch[1] <= solver._BATCH_FIRST
                 later += batch[1] > solver._BATCH_FIRST
@@ -640,3 +651,44 @@ def test_probe_refuses_exactly_past_its_pairs(monkeypatch, collect):
         monkeypatch.setattr(solver, "PROBE_PAIRS", out.pairs_examined - 1)
         with pytest.raises(ValueError, match=f"none of the first {out.pairs_examined - 1} wins$"):
             search(cd, collect)
+
+
+def listed_pairs(cd):
+    """Every candidate pair of the search on cd, in its order, built from
+    triangle_points and the definition of the b sweep alone."""
+    dec = decompose(cd)
+    (ux, uy), (vx, vy), (ax, ay) = dec.u_point, dec.v_point, dec.u
+    for p in triangle_points(dec):
+        if p != dec.u_point:
+            yield primitive_point(p), primitive_point((ux - p[0], uy - p[1]))
+    k = 0
+    while in_cone((vx - k * ax, vy - k * ay), (1, 0), dec.c):
+        yield dec.u, primitive_point((vx - k * ax, vy - k * ay))
+        k += 1
+
+
+def test_search_order_matches_an_independent_enumeration():
+    # under collect_rejections every pair is checked in full, so the
+    # rejected pairs and the winner are the pairs examined, in order: a
+    # prefix of the listed pairs, and all of them for not_rank2
+    corpus = [gen_bt(t) for t in range(1, 41)]
+    corpus += [gen_near_t(3 + 2 * i, seed=[4343, i]) for i in range(50)]
+    corpus += [
+        gen_product(n, m, sigma, seed=[4344, n, m])[2]
+        for n in (2, 3, 5) for m in (2, 3, 5) for sigma in (3, 10, 25)
+    ]
+    verdicts = set()
+    for A in corpus:
+        for r in (1, 2):
+            cd = canonical(A, r)
+            out = search(cd, collect_rejections=True)
+            seen = [(rej.pair.a, rej.pair.b) for rej in out.rejections]
+            if out.verdict == RANK2:
+                seen.append((out.certificate.pair.a, out.certificate.pair.b))
+            listed = listed_pairs(cd)
+            assert len(seen) == out.pairs_examined, (A.tolist(), r)
+            assert seen == list(islice(listed, len(seen))), (A.tolist(), r)
+            if out.verdict == NOT_RANK2:
+                assert next(listed, None) is None, (A.tolist(), r)
+            verdicts.add(out.verdict)
+    assert verdicts == {RANK2, NOT_RANK2}
