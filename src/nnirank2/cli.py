@@ -15,15 +15,10 @@ from pathlib import Path
 from . import bench
 from .diagram import build_diagram, canonicalize
 from .instances import gen_bt, gen_near_t, gen_product
-from .matrixio import base10_int, format_matrix, load_matrix, write_matrix
+from .matrixio import base10_float, base10_int, format_matrix, load_matrix, write_matrix
 from .oracle import brute_force
 from .reduction import ReductionTrace, reduce_to_3x3
-from .solver import NOT_RANK2, RANK2, RANK_LE_1, SolveOutcome, solve
-
-
-def _print_matrix(label: str, M) -> None:
-    print(f"{label}:")
-    sys.stdout.write(format_matrix(M))
+from .solver import NOT_RANK2, RANK2, SolveOutcome, solve
 
 
 def _factor_json(out: SolveOutcome, explain: bool) -> dict:
@@ -34,15 +29,13 @@ def _factor_json(out: SolveOutcome, explain: bool) -> dict:
         "generators": None,
         "pairs_examined": out.pairs_examined,
     }
+    factors = out.rank1_factors
     if out.verdict == RANK2:
         cert = out.certificate
-        doc["F1"] = cert.F1.tolist()
-        doc["F2"] = cert.F2.tolist()
+        factors = (cert.F1, cert.F2)
         doc["generators"] = [list(cert.pair.a), list(cert.pair.b)]
-    elif out.verdict == RANK_LE_1:
-        F1, F2 = out.rank1_factors
-        doc["F1"] = F1.tolist()
-        doc["F2"] = F2.tolist()
+    if factors is not None:
+        doc["F1"], doc["F2"] = (F.tolist() for F in factors)
     if explain and out.rejections is not None:
         doc["rejections"] = [
             {
@@ -56,35 +49,31 @@ def _factor_json(out: SolveOutcome, explain: bool) -> dict:
     return doc
 
 
-def _print_rejections(out: SolveOutcome) -> None:
-    for rej in out.rejections or []:
-        w0, w1 = rej.coeffs
-        print(
-            f"rejected a={rej.pair.a} b={rej.pair.b}: "
-            f"point {rej.index} has coefficients ({w0}, {w1})"
+def _factor_text(doc: dict) -> str:
+    """The document _factor_json builds, as text: the generators, F1 and F2
+    when the verdict has them, then one line per rejection."""
+    text = f"verdict: {doc['verdict']}\n"
+    text += f"pairs_examined: {doc['pairs_examined']}\n"
+    if doc["generators"]:
+        a, b = map(tuple, doc["generators"])
+        text += f"generators: a={a} b={b}\n"
+    for key in ("F1", "F2"):
+        if doc[key] is not None:
+            text += f"{key}:\n" + format_matrix(doc[key])
+    for rej in doc.get("rejections", []):
+        w0, w1 = rej["w"]
+        text += (
+            f"rejected a={tuple(rej['a'])} b={tuple(rej['b'])}: "
+            f"point {rej['index']} has coefficients ({w0}, {w1})\n"
         )
+    return text
 
 
 def cmd_factor(args) -> int:
     A = load_matrix(args.input)
-    out = solve(A, r=args.r, collect_rejections=args.explain)
-    if args.json:
-        print(json.dumps(_factor_json(out, args.explain)))
-    else:
-        print(f"verdict: {out.verdict}")
-        print(f"pairs_examined: {out.pairs_examined}")
-        if out.verdict == RANK2:
-            cert = out.certificate
-            print(f"generators: a={cert.pair.a} b={cert.pair.b}")
-            _print_matrix("F1", cert.F1)
-            _print_matrix("F2", cert.F2)
-        elif out.verdict == RANK_LE_1:
-            F1, F2 = out.rank1_factors
-            _print_matrix("F1", F1)
-            _print_matrix("F2", F2)
-        if args.explain:
-            _print_rejections(out)
-    return 1 if out.verdict == NOT_RANK2 else 0
+    doc = _factor_json(solve(A, r=args.r, collect_rejections=args.explain), args.explain)
+    sys.stdout.write(json.dumps(doc) + "\n" if args.json else _factor_text(doc))
+    return 1 if doc["verdict"] == NOT_RANK2 else 0
 
 
 def _trace_lines(trace: ReductionTrace) -> list[str]:
@@ -190,30 +179,27 @@ def _diagram_doc(args, A) -> dict:
     canon = _read_flags(args, ("r",), reads, "diagram without --canonical")
     d = build_diagram(A)
     if args.canonical:
-        d = cd = canonicalize(d, **canon)
+        d = canonicalize(d, **canon)
     doc = {
         "basis": d.basis.tolist(),
         "points": [list(p) for p in d.points],
         "cone": [list(g) for g in d.cone_gens],
     }
     if args.canonical:
-        doc["transform"] = cd.transform.tolist()
-        doc["canon_index"] = cd.canon_index
+        doc["transform"] = d.transform.tolist()
+        doc["canon_index"] = d.canon_index
     return doc
 
 
 def cmd_diagram(args) -> int:
-    A = load_matrix(args.input)
-    doc = _diagram_doc(args, A)
+    doc = _diagram_doc(args, load_matrix(args.input))
     if args.json:
         print(json.dumps(doc))
         return 0
     # the same document as text: a heading line per matrix, then its rows
     for key, value in doc.items():
         if isinstance(value, list):
-            print(f"{key}:")
-            for row in value:
-                print(" ".join(map(str, row)))
+            sys.stdout.write(f"{key}:\n" + format_matrix(value))
         else:
             print(f"{key}: {value}")
     return 0
@@ -221,19 +207,13 @@ def cmd_diagram(args) -> int:
 
 def cmd_oracle(args) -> int:
     A = load_matrix(args.input)
-    cd = canonicalize(build_diagram(A), 1)
-    verdict = brute_force(cd)
-    if verdict.rank2:
-        witness = verdict.witness
-        print(
-            "verdict: rank2"
-            + (f" witness: a={witness.a} b={witness.b}" if witness else "")
-        )
-        print(f"pairs_enumerated: {verdict.pairs_enumerated}")
-        return 0
-    print("verdict: not_rank2")
+    verdict = brute_force(canonicalize(build_diagram(A), 1))
+    line = "verdict: " + ("rank2" if verdict.rank2 else "not_rank2")
+    if verdict.witness:
+        line += f" witness: a={verdict.witness.a} b={verdict.witness.b}"
+    print(line)
     print(f"pairs_enumerated: {verdict.pairs_enumerated}")
-    return 1
+    return 0 if verdict.rank2 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     # no defaults here, as for bench: _KINDS holds them
     p.add_argument("--rows", type=base10_int)
     p.add_argument("--cols", type=base10_int)
-    p.add_argument("--sigma", type=float)
+    p.add_argument("--sigma", type=base10_float)
     p.add_argument("--t", type=base10_int)
     p.add_argument("--seed", type=base10_int)
     p.add_argument("--count", type=base10_int, default=1)

@@ -7,12 +7,19 @@ written.
 
 from __future__ import annotations
 
+import argparse
 import os
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from .linalg import as_int_matrix
+
+
+class _TooManyDigits(ValueError, argparse.ArgumentTypeError):
+    """A ValueError that argparse reports by its message, not as an invalid value."""
 
 
 def base10_int(token: str) -> int:
@@ -21,7 +28,21 @@ def base10_int(token: str) -> int:
     non-ASCII digits."""
     if not re.fullmatch(r"[+-]?[0-9]+", token):
         raise ValueError(f"{token!r} is not a base-10 integer")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        # the token is well formed, so its length is the only cause
+        digits, limit = len(token.lstrip("+-")), sys.get_int_max_str_digits()
+        msg = f"an integer of {digits} digits is over the limit of {limit} digits"
+        raise _TooManyDigits(msg) from None
+
+
+def base10_float(token: str) -> float:
+    """The number a token spells as an ASCII decimal (sign, digits, fraction,
+    exponent) or as inf or nan; ValueError otherwise, as on float()'s "1_0"."""
+    if not re.fullmatch(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|inf|nan)", token, re.I):
+        raise ValueError(f"{token!r} is not a base-10 number")
+    return float(token)
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -40,8 +61,7 @@ def parse_matrix(text: str) -> np.ndarray:
 
 
 def load_matrix(path: str | os.PathLike) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+    return parse_matrix(Path(path).read_text(encoding="utf-8"))
 
 
 def format_matrix(M) -> str:
@@ -50,5 +70,4 @@ def format_matrix(M) -> str:
 
 
 def write_matrix(path: str | os.PathLike, M) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix(M))
+    Path(path).write_text(format_matrix(M), encoding="utf-8")

@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
 from conftest import BEASLEY, M55, run_python
+from nnirank2 import gen_bt, gen_near_t, gen_product
 from nnirank2.cli import main
 from nnirank2.matrixio import format_matrix, load_matrix, parse_matrix, write_matrix
 from nnirank2.linalg import as_int_matrix
@@ -106,6 +108,47 @@ def test_factor_text_is_pinned(tmp_path, capsys, rows, flags, text):
     rc = main(["factor", path, *flags])
     assert capsys.readouterr().out == text
     assert rc == (1 if "not_rank2" in text else 0)
+
+
+# the SHA-256 of every answer below: stdout, stderr and exit code of each
+# command on each matrix of answer_corpus()
+ANSWERS_DIGEST = "e65f9bf4fbc2511bc7470a691e30d8f48f25e7e3583972c0e5aaf4ddc77e3740"
+ANSWER_COMMANDS = [
+    ["factor"],
+    ["factor", "--json"],
+    ["factor", "--explain"],
+    ["factor", "--json", "--explain"],
+    ["factor", "--r", "2"],
+    ["diagram"],
+    ["diagram", "--canonical", "--r", "2"],
+    ["oracle"],
+]
+
+
+def answer_corpus():
+    """(matrix, whether the oracle runs on it): bt 1..40, 20 near_t, 30 small
+    products, a rank-1 matrix, Beasley, and a rank-3 and a negative matrix
+    for the error path.  The oracle's exhaustion takes seconds on bt above
+    t = 12, so it stops there."""
+    for t in range(1, 41):
+        yield gen_bt(t), t <= 12
+    for i in range(20):
+        yield gen_near_t(3 + i % 10, seed=[1717, i]), True
+    for i in range(30):
+        yield gen_product(2 + i % 3, 2 + (i // 3) % 3, 3, seed=[1717, i])[2], True
+    for rows in ([[2, 4], [1, 2]], BEASLEY, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, -1]]):
+        yield rows, True
+
+
+def test_cli_answers_are_pinned(tmp_path, capsys):
+    h = hashlib.sha256()
+    for i, (A, with_oracle) in enumerate(answer_corpus()):
+        path = write(tmp_path, f"m{i}.txt", A)
+        for command in ANSWER_COMMANDS if with_oracle else ANSWER_COMMANDS[:-1]:
+            rc = main([*command, path])
+            captured = capsys.readouterr()
+            h.update(repr((i, command, rc, captured.out, captured.err)).encode())
+    assert h.hexdigest() == ANSWERS_DIGEST
 
 
 def test_factor_errors(tmp_path, capsys):
@@ -377,6 +420,35 @@ def test_generate_sigma_above_the_cap_exit2(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "sigma must be at most 100000" in proc.stderr
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("sigma", ["1_0", "\u0663", "\uff13", " 3"])
+def test_generate_sigma_refuses_what_matrix_files_refuse_exit2(sigma, tmp_path, capsys):
+    # float() takes "1_0", " 3" and non-ASCII digits, as int() does
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--kind", "product", "--sigma", sigma, "--outdir", str(outdir)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not outdir.exists()
+
+
+def test_entry_above_the_digit_limit_exit2(tmp_path, capsys):
+    # int() refuses more than 4,300 digits with advice to call
+    # sys.set_int_max_str_digits(), which a command-line user cannot follow
+    path = tmp_path / "big.txt"
+    path.write_text("9" * 5000 + " 1\n1 1\n")
+    assert main(["factor", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: ") and "5000" in err
+    assert "set_int_max_str_digits" not in err
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--kind", "bt", "--t", "9" * 5000, "--outdir", str(outdir)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "5000" in err and "set_int_max_str_digits" not in err
     assert not outdir.exists()
 
 
