@@ -15,10 +15,28 @@ from pathlib import Path
 from . import bench
 from .diagram import build_diagram, canonicalize
 from .instances import gen_bt, gen_near_t, gen_product
-from .matrixio import base10_float, base10_int, format_matrix, load_matrix, write_matrix
+from .matrixio import base10_float, base10_int, base10_str, format_matrix, load_matrix, write_matrix
 from .oracle import brute_force
 from .reduction import ReductionTrace, reduce_to_3x3
 from .solver import NOT_RANK2, RANK2, SolveOutcome, solve
+
+
+def _json_line(doc) -> str:
+    """json.dumps(doc) and a newline.  An int over the digit limit is
+    refused with base10_str's message, as format_matrix refuses it."""
+    try:
+        return json.dumps(doc) + "\n"
+    except ValueError:
+        stack = [doc]  # walked in document order, so the first such int is named
+        while stack:
+            value = stack.pop()
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, list):
+                stack += reversed(value)
+            elif isinstance(value, int):
+                base10_str(value)
+        raise
 
 
 def _factor_json(out: SolveOutcome, explain: bool) -> dict:
@@ -72,7 +90,7 @@ def _factor_text(doc: dict) -> str:
 def cmd_factor(args) -> int:
     A = load_matrix(args.input)
     doc = _factor_json(solve(A, r=args.r, collect_rejections=args.explain), args.explain)
-    sys.stdout.write(json.dumps(doc) + "\n" if args.json else _factor_text(doc))
+    sys.stdout.write(_json_line(doc) if args.json else _factor_text(doc))
     return 1 if doc["verdict"] == NOT_RANK2 else 0
 
 
@@ -194,7 +212,7 @@ def _diagram_doc(args, A) -> dict:
 def cmd_diagram(args) -> int:
     doc = _diagram_doc(args, load_matrix(args.input))
     if args.json:
-        print(json.dumps(doc))
+        sys.stdout.write(_json_line(doc))
         return 0
     # the same document as text: a heading line per matrix, then its rows
     for key, value in doc.items():

@@ -19,9 +19,10 @@ from .linalg import (
     _column_frame,
     _extremes,
     _hermite2,
+    _int64_matrix,
     _int_points,
+    _int_rows,
     _pivot,
-    as_int_matrix,
     cross2,
     ext_gcd,
     primitive,
@@ -57,15 +58,16 @@ class CanonicalDiagram(Diagram):
     canon_index: int
 
 
-def _column_lattice(rows) -> tuple[list[Vec2], list[Vec2]]:
-    """Saturated column-lattice basis (as n rows) and the columns' points.
+def _column_lattice(rows, M: np.ndarray | None) -> tuple[list[Vec2], list[Vec2]]:
+    """Saturated column-lattice basis (as n rows) and the columns' points,
+    for the matrix given by its rows and its ``linalg._int64_matrix`` M.
 
     With B two independent columns of A and H the Hermite form of B's
     rows, an integer x has B x integer exactly when x is in H^-1 Z^2, so
     the columns of B H^-1 generate col(A) ∩ Z^n.  A column with
     coordinates x in B has coordinates H x in that basis.
     """
-    B, (_, _, d), coords = _column_frame(rows)
+    B, (_, _, d), coords = _column_frame(rows, M)
     (a, b), (_, c) = _hermite2(B)
     basis = [(x // a, (a * y - b * x) // (a * c)) for x, y in B]
     points = [((a * n0 + b * n1) // d, c * n1 // d) for n0, n1 in coords]
@@ -77,7 +79,8 @@ def column_lattice_basis(A) -> np.ndarray:
     independent columns B of A and the Hermite form H of B's rows, so the
     gcd of its 2x2 minors is 1.  Raises ValueError unless A has rank 2.
     """
-    basis, _ = _column_lattice(as_int_matrix(A).tolist())
+    rows, array = _int_rows(A)
+    basis, _ = _column_lattice(rows, _int64_matrix(rows, array))
     return np.array(basis, dtype=object)
 
 
@@ -87,15 +90,15 @@ def point_coordinates(A, basis) -> list[Vec2]:
     Raises ValueError when some column has no integer coordinates, which
     means the given basis does not span a lattice containing the columns.
     """
-    A = as_int_matrix(A)
-    B = as_int_matrix(basis)
-    if B.shape != (A.shape[0], 2):
+    rows, array = _int_rows(A)
+    brows, _ = _int_rows(basis)
+    if (len(brows), len(brows[0])) != (len(rows), 2):
         raise ValueError("basis must be n x 2 for an n-row matrix")
-    brows = [tuple(r) for r in B.tolist()]
+    brows = [tuple(r) for r in brows]
     piv = _pivot(brows)
     if piv is None:
         raise ValueError("basis must have rank 2")
-    pts = _int_points(brows, piv, A.tolist())
+    pts = _int_points(brows, piv, rows, _int64_matrix(rows, array))
     if None in pts:
         raise ValueError(f"column {pts.index(None)} has no integer coordinates in the basis")
     return pts
@@ -144,10 +147,15 @@ def _plane_cone(brows: list[Vec2]) -> tuple[tuple[Vec2, int], tuple[Vec2, int]]:
     return ((tagged[0][1], tagged[0][0]), (tagged[1][1], tagged[1][0]))
 
 
-def _nonnegative(A: np.ndarray) -> np.ndarray:
-    if (A < 0).any():
+def _nonnegative_rows(A) -> tuple[list[list[int]], np.ndarray | None]:
+    """A's rows and ``linalg._int64_matrix`` M, validated and cast once;
+    ValueError unless every entry is nonnegative, read from M's minimum
+    when M exists."""
+    rows, array = _int_rows(A)
+    M = _int64_matrix(rows, array)
+    if (min(map(min, rows)) if M is None else M.min()) < 0:
         raise ValueError("matrix must be nonnegative")
-    return A
+    return rows, M
 
 
 def extreme_rays(A) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
@@ -158,7 +166,7 @@ def extreme_rays(A) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
     are ordered by ascending vanishing-row index.  Zero rows of A never
     appear as vanishing rows.
     """
-    B, _, _ = _column_frame(_nonnegative(as_int_matrix(A)).tolist())
+    B, _, _ = _column_frame(*_nonnegative_rows(A))
     return tuple(
         (primitive([x * d[0] + y * d[1] for x, y in B]), k) for d, k in _plane_cone(B)
     )
@@ -166,8 +174,7 @@ def extreme_rays(A) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
 
 def build_diagram(A) -> Diagram:
     """Construct the full plane diagram of a rank-2 nonnegative matrix."""
-    A = _nonnegative(as_int_matrix(A))
-    basis, pts = _column_lattice(A.tolist())
+    basis, pts = _column_lattice(*_nonnegative_rows(A))
     (d1, _), (d2, _) = _plane_cone(basis)
     return Diagram(
         basis=np.array(basis, dtype=object),

@@ -2,7 +2,8 @@
 
 Public functions take and return numpy object arrays holding Python ints,
 so every operation is exact at any magnitude.  There is no floating point
-anywhere in this module.
+anywhere in this module.  Each public function validates its matrix once
+(``_int_rows``) and casts it to int64 at most once (``_int64_matrix``).
 
 The private rank-2 lattice kernel (``_pivot`` to ``_lagrange_gauss``) works
 on tuples of Python ints, except that its one span check runs as numpy
@@ -33,13 +34,22 @@ def _entry(x) -> int:
         raise ValueError(f"entries must be integers, got {x!r}") from None
 
 
-def as_int_matrix(data) -> np.ndarray:
-    """Coerce nested sequences or arrays to a 2-D object array of Python ints.
+def _int_rows(data) -> tuple[list[list[int]], np.ndarray | None]:
+    """Validate a matrix: its rows as lists of Python ints, and the array
+    :func:`_int64_matrix` may cast directly.
 
     This is the one input contract of every entry point: empty or ragged
     input and entries that are not integers (floats, strings, bools) raise
-    ValueError.  A plain object array that already holds only Python ints
-    comes back as a copy, which costs one type pass and no rebuild.
+    ValueError.  One type pass over every entry accepts the common case.
+    When it fails, the rows are checked in order, each for its length and
+    then its entries, so the first bad row gives the error, and only rows
+    with an entry that is not a Python int are rebuilt through ``_entry``.
+
+    The array is ``data`` itself when it is a plain ndarray from which
+    ``astype(np.int64)`` reads exactly these ints: an object array whose
+    entries all are Python ints, or a signed integer dtype.  Otherwise it
+    is None, for unsigned dtypes too: astype wraps uint64 2**64 - 1 to -1
+    without an error.
     """
     if isinstance(data, np.ndarray) and data.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got {data.ndim} dimensions")
@@ -50,19 +60,32 @@ def as_int_matrix(data) -> np.ndarray:
     if not rows or not rows[0]:
         raise ValueError("matrix must have at least one row and one column")
     width = len(rows[0])
-    exact = True
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(
-                f"ragged matrix: row {i} has {len(row)} entries, expected {width}"
-            )
-        if set(map(type, row)) != {int}:
-            rows[i] = [_entry(x) for x in row]
-            exact = False
+    exact = all(len(row) == width for row in rows) and (
+        list(map(type, chain.from_iterable(rows))).count(int) == len(rows) * width
+    )
+    if not exact:
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise ValueError(
+                    f"ragged matrix: row {i} has {len(row)} entries, expected {width}"
+                )
+            if set(map(type, row)) != {int}:
+                rows[i] = [_entry(x) for x in row]
     # type(data) is, not isinstance: np.matrix and masked input are rebuilt as plain arrays
-    if exact and type(data) is np.ndarray and data.dtype == object:
-        return data.copy()
-    out = np.empty((len(rows), width), dtype=object)
+    plain = type(data) is np.ndarray and (data.dtype.kind == "i" or exact and data.dtype == object)
+    return rows, data if plain else None
+
+
+def as_int_matrix(data) -> np.ndarray:
+    """Coerce nested sequences or arrays to a 2-D object array of Python ints,
+    under the contract of :func:`_int_rows`.  A plain object array that
+    already holds only Python ints comes back as a copy, which costs one
+    type pass and no rebuild.
+    """
+    rows, array = _int_rows(data)
+    if array is not None and array.dtype == object:
+        return array.copy()
+    out = np.empty((len(rows), len(rows[0])), dtype=object)
     out[:] = rows
     return out
 
@@ -178,12 +201,13 @@ def _bareiss(M: list[list[int]]) -> tuple[int, int]:
 
 def rank_exact(A) -> int:
     """Rank over the rationals, from the rank-2 column frame (:func:`_frame`)."""
-    return _frame(as_int_matrix(A).tolist())[0]
+    rows, array = _int_rows(A)
+    return _frame(rows, _int64_matrix(rows, array))[0]
 
 
 def det_exact(A) -> int:
     """Exact determinant of a square integer matrix (Bareiss)."""
-    M = as_int_matrix(A).tolist()
+    M, _ = _int_rows(A)
     if len(M) != len(M[0]):
         raise ValueError("determinant requires a square matrix")
     rank, last = _bareiss(M)
@@ -319,16 +343,52 @@ def _pivot(brows: Sequence[Vec2]) -> Pivot | None:
 
 
 # The int64 span check is exact for entries in [-_INT64_SAFE, _INT64_SAFE].
-# Its fixed cost (array conversions and a dozen numpy calls) makes the
-# Python loop faster on small matrices; they break even near 300 entries:
-# 44-45 us against 42-44 us at 15 x 15, 49-50 us against 52-58 us at
-# 17 x 17 and 18 x 18, 39-54 us against 48-69 us at 20 x 20 (median over
-# 5 products of the best of 7 x 200 checks, 2-vCPU Xeon, numpy 2.4).
+# Its fixed cost (the cast and a dozen numpy calls) makes the Python loop
+# faster on small matrices; they break even between 225 and 300 entries,
+# with the cast by astype or by fromiter.  Frame times, cast included, int64
+# against Python ints: 40-58 us against 44-53 us at 15 x 15, 37-56 us
+# against 43-64 us at 17 x 17, 37-52 us against 58-79 us at 20 x 20 (median
+# over 5 products of the best of 7 x 200 frames, a shared 2-vCPU Xeon,
+# numpy 2.4).
 _INT64_SAFE = 2**20
 _INT64_MIN_ENTRIES = 300
 
 
-def _span_numerators(brows: Sequence[Vec2], piv: Pivot, rows: Sequence[Sequence[int]]) -> list[Vec2] | None:
+def _int64_matrix(rows: Sequence[Sequence[int]], array: np.ndarray | None = None) -> np.ndarray | None:
+    """The int64 matrix of rows validated by :func:`_int_rows`, when it has
+    at least _INT64_MIN_ENTRIES entries and every one lies in
+    [-_INT64_SAFE, _INT64_SAFE]; None otherwise.  ``array`` is the array
+    :func:`_int_rows` returned with the rows.
+
+    This is the one cast of a public call: the frame and the span check
+    take its result and convert the matrix no further.
+    """
+    if len(rows) * len(rows[0]) < _INT64_MIN_ENTRIES:
+        return None
+    return _int64_rows(rows, array)
+
+
+def _int64_rows(rows: Sequence[Sequence[int]], array: np.ndarray | None = None) -> np.ndarray | None:
+    """The rows as an int64 array when every entry lies in [-_INT64_SAFE,
+    _INT64_SAFE], else None.  ``array``, an ndarray holding the same ints
+    that ``astype`` reads exactly (see :func:`_int_rows`), is cast with
+    astype, faster than ``np.fromiter`` over the flattened rows (1.7-1.9 ms
+    against 1.9-2.9 ms at 300 x 300); anything else is read by fromiter.
+    The bound is tested with min and max, since np.abs(-2**63) is negative."""
+    n, m = len(rows), len(rows[0])
+    try:
+        if array is not None:
+            M = array.astype(np.int64, copy=False)
+        else:
+            M = np.fromiter(chain.from_iterable(rows), np.int64, n * m).reshape(n, m)
+    except OverflowError:
+        return None
+    return M if -_INT64_SAFE <= M.min() and M.max() <= _INT64_SAFE else None
+
+
+def _span_numerators(
+    brows: Sequence[Vec2], piv: Pivot, rows: Sequence[Sequence[int]], M: np.ndarray | None = None
+) -> list[Vec2] | None:
     """Numerators (n0, n1) with d * y == n0 * col0 + n1 * col1 for every
     column y of the matrix given by its rows, where col0, col1 are the
     columns of the n x 2 basis given by its rows and piv = (i, k, d) is a
@@ -337,14 +397,13 @@ def _span_numerators(brows: Sequence[Vec2], piv: Pivot, rows: Sequence[Sequence[
     every entry.
 
     This is the one span check.  It runs as numpy int64 arithmetic when the
-    matrix has at least _INT64_MIN_ENTRIES entries and every entry of it and
-    of the basis lies in [-2**20, 2**20]: then |d|, |n0|, |n1| <= 2**41, and
-    every product and sum is at most 2**62 in size, so nothing overflows.
-    Otherwise the check runs on Python ints, at any magnitude.
+    caller gives M, the matrix's :func:`_int64_matrix`, and every entry of
+    the basis also lies in [-2**20, 2**20]: then |d|, |n0|, |n1| <= 2**41,
+    and every product and sum is at most 2**62 in size, so nothing
+    overflows.  Otherwise the check runs on Python ints, at any magnitude.
     """
     i, k, d = piv
     (a0, a1), (b0, b1) = brows[i], brows[k]
-    M = _int64_rows(rows) if len(rows) * len(rows[0]) >= _INT64_MIN_ENTRIES else None
     C = None if M is None else _int64_rows(brows)
     if C is not None:
         n0 = M[i] * b1 - M[k] * a1
@@ -360,23 +419,13 @@ def _span_numerators(brows: Sequence[Vec2], piv: Pivot, rows: Sequence[Sequence[
     return nums
 
 
-def _int64_rows(rows: Sequence[Sequence[int]]) -> np.ndarray | None:
-    """The rows as an int64 array when every entry lies in [-_INT64_SAFE,
-    _INT64_SAFE], else None.  The bound is tested with min and max, since
-    np.abs(-2**63) is negative."""
-    n, m = len(rows), len(rows[0])
-    try:
-        M = np.fromiter(chain.from_iterable(rows), np.int64, n * m).reshape(n, m)
-    except OverflowError:
-        return None
-    return M if -_INT64_SAFE <= M.min() and M.max() <= _INT64_SAFE else None
-
-
-def _int_points(brows: Sequence[Vec2], piv: Pivot, rows: Sequence[Sequence[int]]) -> list[Vec2 | None]:
+def _int_points(
+    brows: Sequence[Vec2], piv: Pivot, rows: Sequence[Sequence[int]], M: np.ndarray | None = None
+) -> list[Vec2 | None]:
     """Integer coordinates in the basis of each column of the matrix given
-    by its rows; None for a column outside the span or whose coordinates
-    are not integers."""
-    nums = _span_numerators(brows, piv, rows)
+    by its rows (and by M, as in :func:`_span_numerators`); None for a
+    column outside the span or whose coordinates are not integers."""
+    nums = _span_numerators(brows, piv, rows, M)
     if nums is None:  # some column is outside the span: check each alone
         cols = (_span_numerators(brows, piv, [[x] for x in col]) for col in zip(*rows))
         nums = [None if c is None else c[0] for c in cols]
@@ -410,9 +459,10 @@ def _hermite2(vectors) -> tuple[Vec2, Vec2]:
 
 
 def _frame(
-    rows: Sequence[Sequence[int]], name_rank: bool = True
+    rows: Sequence[Sequence[int]], M: np.ndarray | None = None, name_rank: bool = True
 ) -> tuple[int | None, tuple[list[Vec2], Pivot, list[Vec2]] | None]:
-    """The exact rank and, at rank 2, the frame :func:`_column_frame` returns.
+    """The exact rank and, at rank 2, the frame :func:`_column_frame` returns,
+    for the matrix given by its rows and by M, its :func:`_int64_matrix`.
     When the span check fails the rank is above 2: Bareiss elimination names
     it under ``name_rank``, else it reads None."""
     m = len(rows[0])
@@ -426,21 +476,24 @@ def _frame(
             break
     else:
         return 1, None
-    coords = _span_numerators(B, piv, rows)
+    coords = _span_numerators(B, piv, rows, M)
     if coords is None:
         return (_bareiss([list(row) for row in rows])[0] if name_rank else None), None
     return 2, (B, piv, coords)
 
 
-def _column_frame(rows: Sequence[Sequence[int]]) -> tuple[list[Vec2], Pivot, list[Vec2]]:
-    """Two independent columns of a rank-2 matrix and every column in them.
+def _column_frame(
+    rows: Sequence[Sequence[int]], M: np.ndarray | None = None
+) -> tuple[list[Vec2], Pivot, list[Vec2]]:
+    """Two independent columns of a rank-2 matrix, given by its rows and by
+    M as in :func:`_frame`, and every column in them.
 
     Returns B (the rows of the first nonzero column and the first column
     independent of it, as 2-vectors), a pivot of B, and each column's
     coordinates in B as numerators over the pivot's minor.  Checking every
     column is the rank test: ValueError, naming the rank, unless it is 2.
     """
-    rank, frame = _frame(rows)
+    rank, frame = _frame(rows, M)
     if frame is None:
         raise ValueError(f"matrix must have rank 2, got rank {rank}")
     return frame

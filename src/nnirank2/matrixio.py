@@ -8,6 +8,7 @@ written.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -15,11 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import as_int_matrix
+from .linalg import _int_rows, as_int_matrix
 
 
 class _TooManyDigits(ValueError, argparse.ArgumentTypeError):
     """A ValueError that argparse reports by its message, not as an invalid value."""
+
+    def __init__(self, digits: int) -> None:
+        limit = sys.get_int_max_str_digits()
+        super().__init__(f"an integer of {digits} digits is over the limit of {limit} digits")
 
 
 def base10_int(token: str) -> int:
@@ -32,9 +37,19 @@ def base10_int(token: str) -> int:
         return int(token)
     except ValueError:
         # the token is well formed, so its length is the only cause
-        digits, limit = len(token.lstrip("+-")), sys.get_int_max_str_digits()
-        msg = f"an integer of {digits} digits is over the limit of {limit} digits"
-        raise _TooManyDigits(msg) from None
+        raise _TooManyDigits(len(token.lstrip("+-"))) from None
+
+
+def base10_str(x: int) -> str:
+    """str(x), refused with base10_int's message when x has more digits
+    than the interpreter converts (sys.get_int_max_str_digits): no matrix
+    file could give such an entry back."""
+    try:
+        return str(x)
+    except ValueError:
+        # 2**(b-1) <= |x| < 2**b has the digits of 2**(b-1) or one more
+        digits = int((abs(x).bit_length() - 1) * math.log10(2)) + 1
+        raise _TooManyDigits(digits + (abs(x) >= 10**digits)) from None
 
 
 def base10_float(token: str) -> float:
@@ -65,8 +80,8 @@ def load_matrix(path: str | os.PathLike) -> np.ndarray:
 
 
 def format_matrix(M) -> str:
-    M = as_int_matrix(M)
-    return "\n".join(" ".join(str(int(x)) for x in row) for row in M) + "\n"
+    rows, _ = _int_rows(M)
+    return "\n".join(" ".join(map(base10_str, row)) for row in rows) + "\n"
 
 
 def write_matrix(path: str | os.PathLike, M) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import numpy as np
@@ -22,6 +23,7 @@ from .linalg import (
     Vec2,
     _extremes,
     _hermite2,
+    _int_rows,
     as_int_matrix,
     primitive_point,
     rank_exact,
@@ -52,6 +54,8 @@ _BATCH_MIN_PAIRS = 512
 _BATCH_FIRST, _BATCH_MAX = 2**10, 2**13
 # The batch's int64 gate: see _fits_int64
 _BATCH_INT64_BOUND = 2**62
+# verify_factorization's int64 gate on max(F1) * max(F2): see _int64_product
+_PRODUCT_INT64_BOUND = 2**61
 
 
 @dataclass(frozen=True)
@@ -439,21 +443,49 @@ def assemble(
     return Rank2Certificate(F1=np.array(F1, dtype=object), F2=F2, pair=pair)
 
 
+def _int64_product(f1: list[list[int]], f2: list[list[int]]) -> np.ndarray | None:
+    """F1 @ F2 in int64, for an n x 2 and a 2 x m factor given by their rows,
+    when every entry of both is nonnegative and max(F1) * max(F2) <
+    _PRODUCT_INT64_BOUND; None otherwise.
+
+    The bound makes the product exact.  Entry (i, j) is
+    F1[i][0] * F2[0][j] + F1[i][1] * F2[1][j]: two nonnegative terms, each
+    at most max(F1) * max(F2) < 2**61, so the entry and every partial sum
+    are at most 2 * max(F1) * max(F2) < 2**62 < 2**63, and nothing
+    overflows.  Both factors are read by one ``np.fromiter``.
+    """
+    n, m = len(f1), len(f2[0])
+    try:
+        F = np.fromiter(chain(chain.from_iterable(f1), chain.from_iterable(f2)), np.int64, 2 * (n + m))
+    except OverflowError:
+        return None
+    F1, F2 = F[:2 * n].reshape(n, 2), F[2 * n:].reshape(2, m)
+    if F.min() < 0 or int(F1.max()) * int(F2.max()) >= _PRODUCT_INT64_BOUND:
+        return None
+    return F1 @ F2
+
+
 def verify_factorization(A, F1, F2) -> bool:
     """True iff F1 (n x 2) times F2 (2 x m) reproduces A exactly with
-    nonnegative integer entries throughout.  Never raises."""
+    nonnegative integer entries throughout.  Never raises.
+
+    Each matrix is validated once.  The product is the int64 one of
+    :func:`_int64_product` when that is exact, else a product on Python
+    ints, row by row; either way its entries are compared with A's as
+    Python ints.
+    """
     try:
-        A = as_int_matrix(A)
-        F1 = as_int_matrix(F1)
-        F2 = as_int_matrix(F2)
+        (rows, _), (f1, _), (f2, _) = (_int_rows(X) for X in (A, F1, F2))
     except (ValueError, TypeError):
         return False
-    n, m = A.shape
-    if F1.shape != (n, 2) or F2.shape != (2, m):
+    if (len(f1), len(f1[0]), len(f2), len(f2[0])) != (len(rows), 2, 2, len(rows[0])):
         return False
-    if (F1 < 0).any() or (F2 < 0).any():
+    P = _int64_product(f1, f2)
+    if P is not None:
+        return P.tolist() == rows
+    if any(x < 0 for x in chain(*f1, *f2)):
         return False
-    return bool((F1 @ F2 == A).all())
+    return [[a * x + b * y for x, y in zip(*f2)] for a, b in f1] == rows
 
 
 def _rank1_factors(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:

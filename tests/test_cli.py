@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -450,6 +451,27 @@ def test_entry_above_the_digit_limit_exit2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "5000" in err and "set_int_max_str_digits" not in err
     assert not outdir.exists()
+
+
+def big_basis_rows():
+    """A 3 x 3 product with 3,000-digit entries; its canonical basis has
+    about 6,000 digits, above int()'s limit of 4,300."""
+    rng = random.Random(1)
+    F1 = [[rng.randrange(10**3000) for _ in range(2)] for _ in range(3)]
+    F2 = [[rng.randrange(1, 1000) for _ in range(3)] for _ in range(2)]
+    return [[a * x + b * y for x, y in zip(*F2)] for a, b in F1]
+
+
+def test_output_above_the_digit_limit_exit2(tmp_path, capsys):
+    # the same plain message as on input: such output could not be read back
+    with pytest.raises(ValueError, match="^an integer of 4401 digits is over the limit of 4300 digits$"):
+        format_matrix([[10**4400, 1]])
+    path = write(tmp_path, "big.txt", big_basis_rows())
+    for flags in ([], ["--json"]):
+        assert main(["diagram", "--canonical", "--r", "2", *flags, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: an integer of 6000 digits is over the limit of 4300 digits\n"
 
 
 @pytest.mark.parametrize("kind", ["product", "near_t"])

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import nnirank2
+from nnirank2 import diagram, linalg, matrixio, reduction, solver
 from nnirank2.cli import main
-from nnirank2.diagram import build_diagram
+from nnirank2.diagram import Diagram, build_diagram
+from nnirank2.instances import gen_product
 from nnirank2.linalg import as_int_matrix, rank_exact
 from nnirank2.reduction import reduce_to_3x3, validate_equivalence
-from nnirank2.solver import solve, verify_factorization
+from nnirank2.solver import SolveOutcome, solve, verify_factorization
 
 
 def object_matrix(entry):
@@ -131,3 +133,140 @@ def test_every_public_name_resolves():
     namespace: dict = {}
     exec("from nnirank2 import *", namespace)
     assert set(nnirank2.__all__) <= set(namespace)
+
+
+def zero_one_rank2(n, m):
+    """An n x m matrix of 0s and 1s of rank 2: rows u, v and u + v in turn,
+    for u and v with disjoint supports."""
+    u = [j % 2 for j in range(m)]
+    v = [1 - x for x in u]
+    return [(u, v, [1] * m)[i % 3] for i in range(n)]
+
+
+def outcome(fn, *args):
+    """fn's answer in a comparable form, or its ValueError's message."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(out, SolveOutcome):
+        cert = out.certificate
+        return out.verdict, out.pairs_examined, cert and (cert.F1.tolist(), cert.F2.tolist())
+    if isinstance(out, Diagram):
+        return out.basis.tolist(), out.points, out.cone_gens
+    return out
+
+
+# 20 x 20 zero-one matrices, over the int64 size cut, times a scale at or
+# past the edges of the int64 span check and of int64 itself
+Z = zero_one_rank2(20, 20)
+U, V = Z[:2]
+CAST_CASES = {
+    "uint64 2**64-1": (np.array(Z, dtype=np.uint64) * np.uint64(2**64 - 1), 2**64 - 1),
+    "object 2**63": (np.array(Z, dtype=object) * 2**63, 2**63),
+    **{f"int64 {s}": (np.array(Z, dtype=np.int64) * s, s) for s in (2**20, -(2**20), 2**20 + 1, -(2**20) - 1)},
+}
+
+
+@pytest.mark.parametrize("case", list(CAST_CASES))
+def test_int64_casts_give_the_python_int_answers(monkeypatch, case):
+    X, s = CAST_CASES[case]
+    assert linalg._INT64_MIN_ENTRIES <= X.size
+    rows, array = linalg._int_rows(X)
+    assert (linalg._int64_matrix(rows, array) is not None) == (abs(s) <= 2**20)
+    # the certificate (1, 0), (0, 1), (1, 1) in turn times the rows u and v, scaled
+    F1 = np.array([[(1, 0), (0, 1), (1, 1)][i % 3] for i in range(20)], dtype=X.dtype)
+    F2 = np.array([U, V], dtype=X.dtype) * X.dtype.type(s)
+    calls = [(rank_exact, X), (build_diagram, X), (solve, X), (verify_factorization, X, F1, F2)]
+    answers = [outcome(*call) for call in calls]
+    monkeypatch.setattr(linalg, "_INT64_MIN_ENTRIES", 10**9)
+    monkeypatch.setattr(solver, "_PRODUCT_INT64_BOUND", 0)
+    assert answers == [outcome(*call) for call in calls]
+    # no entry wrapped: the scale's sign decides
+    assert answers[0] == 2
+    if s > 0:
+        assert answers[2][0] == "rank2" and answers[3] is True
+    else:
+        assert answers[1] == answers[2] == "matrix must be nonnegative" and answers[3] is False
+
+
+class IntByIndex:
+    """0 to operator.index, as the contract reads entries; 5 to int(), which
+    numpy's astype from an object array calls."""
+
+    def __index__(self):
+        return 0
+
+    def __int__(self):
+        return 5
+
+
+def test_an_object_array_is_cast_by_astype_only_when_it_holds_python_ints():
+    X = np.array(Z, dtype=object)
+    X[0, 0] = IntByIndex()  # Z[0][0] is 0
+    assert rank_exact(X) == 2 and as_int_matrix(X).tolist() == Z
+
+
+# (validations, casts) of each public call on a 20 x 20 product: each of its
+# matrices is validated once (linalg._int_rows) and cast to int64 at most
+# once (linalg._int64_matrix, or solver._int64_product for a certificate).
+# solve and reduce_to_3x3 count those of the public calls they make.
+PASSES = {
+    nnirank2.as_int_matrix: (1, 0),
+    nnirank2.smith_normal_form: (1, 0),
+    nnirank2.det_exact: (1, 0),
+    nnirank2.rank_exact: (1, 1),
+    nnirank2.column_lattice_basis: (1, 1),
+    nnirank2.point_coordinates: (2, 1),
+    nnirank2.extreme_rays: (1, 1),
+    nnirank2.build_diagram: (1, 1),
+    reduction.row_lattice_basis: (1, 1),
+    nnirank2.build_3xm: (1, 1),
+    nnirank2.validate_equivalence: (2, 1),
+    nnirank2.verify_factorization: (3, 1),
+    # as_int_matrix, rank_exact, build_diagram, verify_factorization
+    nnirank2.solve: (6, 3),
+    # as_int_matrix, build_3xm twice, rank_exact
+    nnirank2.reduce_to_3x3: (4, 3),
+}
+
+
+def test_each_public_call_validates_once_and_casts_at_most_once(monkeypatch):
+    A = next(A for A in (gen_product(20, 20, 3, seed=[2618, i])[2] for i in range(20))
+             if solve(A).verdict == "rank2")
+    cert = solve(A).certificate
+    basis = nnirank2.column_lattice_basis(A)
+    B1 = nnirank2.build_3xm(A)[0]
+    args = {nnirank2.point_coordinates: (basis,), nnirank2.validate_equivalence: (B1,),
+            nnirank2.verify_factorization: (cert.F1, cert.F2)}
+    counts = {"validate": 0, "cast": 0, "fromiter": 0}
+
+    def counted(key, fn):
+        def wrapper(*a, **k):
+            counts[key] += 1
+            return fn(*a, **k)
+        return wrapper
+
+    for key, home, name in (("validate", linalg, "_int_rows"), ("cast", linalg, "_int64_matrix"),
+                            ("cast", solver, "_int64_product")):
+        fn = counted(key, getattr(home, name))
+        for module in (linalg, diagram, reduction, solver, matrixio):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fn)
+    fromiter = np.fromiter
+
+    def counted_fromiter(it, dtype, count=-1, **k):
+        # a pass over a whole matrix, not over a basis or a certificate
+        counts["fromiter"] += count >= A.size
+        return fromiter(it, dtype, count, **k)
+
+    monkeypatch.setattr(np, "fromiter", counted_fromiter)
+    for call, want in PASSES.items():
+        for data in (A, A.tolist()):
+            counts.update(validate=0, cast=0, fromiter=0)
+            call(data, *args.get(call, ()))
+            assert (counts["validate"], counts["cast"]) == want, call.__name__
+            # an object array is cast by astype; nested lists, and the rows
+            # validate_equivalence stacks, go through fromiter
+            by_astype = data is A and call is not nnirank2.validate_equivalence
+            assert counts["fromiter"] <= (0 if by_astype else want[1]), call.__name__

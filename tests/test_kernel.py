@@ -18,6 +18,7 @@ from nnirank2.instances import gen_bt, gen_near_t, gen_product
 from nnirank2.linalg import (
     _bareiss,
     _column_frame,
+    _int64_matrix,
     _int64_rows,
     _lagrange_gauss,
     det_exact,
@@ -142,8 +143,9 @@ def span_corpus():
 
 
 def frame_or_error(rows):
+    # with the cast a public call makes, so the int64 span check runs where it fits
     try:
-        return _column_frame(rows)
+        return _column_frame(rows, _int64_matrix(rows))
     except ValueError as exc:
         return str(exc)
 

@@ -184,6 +184,56 @@ def test_verify_factorization():
     assert not verify_factorization(A, [[1], [0]], F2)
 
 
+def product_of(F1, F2):
+    return [[a * x + b * y for x, y in zip(*F2)] for a, b in F1]
+
+
+def certificates():
+    """(A, F1, F2, genuine): seeded products' certificates, factors whose
+    max(F1) * max(F2) is just below and at the int64 product's bound of
+    2**61, and forgeries of each: an F1 entry + 1, an F2 entry set to -1,
+    F1 without its last row, and a float F1 entry."""
+    genuine = []
+    for i in range(30):
+        A = gen_product(2 + i % 7, 2 + (i // 7) % 5, (3, 10, 100)[i % 3], seed=[2618, i])[2]
+        cert = solve(A).certificate
+        if cert is not None:
+            genuine.append((cert.F1.tolist(), cert.F2.tolist()))
+    for f, g in ((2**61 - 1, 1), (2**61, 1), (2**30, 2**31 - 1), (2**30, 2**31), (2**31, 2**31)):
+        genuine.append(([[f, f], [1, 0]], [[g, 1, 0], [g, 0, 1]]))
+    for F1, F2 in genuine:
+        A = product_of(F1, F2)
+        yield A, F1, F2, True
+        plus = [row[:] for row in F1]
+        plus[0][0] += 1
+        minus = [row[:] for row in F2]
+        minus[1][-1] = -1
+        real = [row[:] for row in F1]
+        real[-1][1] = float(real[-1][1])
+        for f1, f2 in ((plus, F2), (F1, minus), (F1[:-1], F2), (real, F2)):
+            yield A, f1, f2, False
+
+
+def test_verify_factorization_int64_and_python_products_agree(monkeypatch):
+    cases = list(certificates())
+    on_int64 = sum(solver._int64_product(F1, F2) is not None for _, F1, F2, ok in cases if ok)
+    assert 0 < on_int64 < sum(ok for *_, ok in cases)
+    assert [verify_factorization(A, F1, F2) for A, F1, F2, _ in cases] == [ok for *_, ok in cases]
+    monkeypatch.setattr(solver, "_int64_product", lambda f1, f2: None)
+    assert [verify_factorization(A, F1, F2) for A, F1, F2, _ in cases] == [ok for *_, ok in cases]
+
+
+def test_int64_product_bound():
+    # max(F1) * max(F2) < 2**61, so each entry, a sum of two such products, is below 2**62
+    for f, g, fits in ((2**61 - 1, 1, True), (2**61, 1, False), (2**30, 2**31 - 1, True), (2**30, 2**31, False)):
+        F1, F2 = [[f, f], [1, 0]], [[g, 1, 0], [g, 0, 1]]
+        P = solver._int64_product(F1, F2)
+        assert (P is not None) == fits
+        assert P is None or P.tolist() == product_of(F1, F2)
+    assert solver._int64_product([[1, -1]], [[1], [1]]) is None
+    assert solver._int64_product([[2**63, 0]], [[0], [0]]) is None
+
+
 def test_solve_beasley(beasley):
     out = solve(beasley)
     assert out.verdict == NOT_RANK2
