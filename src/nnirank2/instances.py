@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
+from typing import Callable
 
 import numpy as np
 
-from .linalg import Vec2, _pivot, as_int_matrix
+from .linalg import Vec2, _extremes, _pivot, as_int_matrix
 
 
-# the largest sigma gen_product accepts; the suites use at most 25
+# the largest sigma the samplers accept; the suites use at most 25
 SIGMA_MAX = 100_000
 
 
@@ -33,22 +35,48 @@ def seeded_rng(seed) -> np.random.Generator:
         raise ValueError("seed must be nonnegative") from None
 
 
-@functools.lru_cache(maxsize=None)
-def _dgauss1_table(sigma: float):
-    # offsets from the center, truncated at +- 12 sigma; mass beyond is
-    # < exp(-72).  Offsets keep the table small integers for any center.
+# the table1/table2 grid draws from 4 sigmas; at the cap one table holds
+# 2.4 M floats (19.2 MB), so the cache keeps at most about 77 MB
+@functools.lru_cache(maxsize=4)
+def _dgauss1_cdf(sigma: float) -> memoryview:
+    """CDF of the offsets -radius..radius, read by bisect without a copy."""
+    if not (sigma > 0 and math.isfinite(sigma)):
+        # at sigma = 0 the CDF would be NaN and every draw the same
+        raise ValueError("sigma must be positive")
+    if sigma > SIGMA_MAX:
+        # the table holds 24 sigma + 1 entries: terabytes at sigma = 1e12
+        raise ValueError(f"sigma must be at most {SIGMA_MAX}")
+    # truncated at +- 12 sigma; mass beyond is < exp(-72).  Offsets keep
+    # the table small integers for any center.
     radius = max(1, math.ceil(12 * sigma))
     ks = np.arange(-radius, radius + 1)
-    w = np.exp(-(ks**2) / (2.0 * sigma * sigma))
-    cdf = np.cumsum(w)
+    cdf = np.cumsum(np.exp(-(ks**2) / (2.0 * sigma * sigma)))
     cdf /= cdf[-1]
-    return ks, cdf
+    return memoryview(cdf).toreadonly()
+
+
+def _sampler(cdf: memoryview, rng: np.random.Generator) -> Callable[[], int]:
+    """One draw of the offset k with weight exp(-k^2 / 2 sigma^2) per call,
+    from the table ``_dgauss1_cdf(sigma)``.
+
+    The CDF is nondecreasing and ends at 1.0 while rng.random() < 1, so
+    bisect_right gives the index np.searchsorted(cdf, u, side="right")
+    gives, and the offset is index - radius.
+    """
+    radius = len(cdf) // 2
+    random = rng.random
+    return lambda: bisect_right(cdf, random()) - radius
 
 
 def dgauss1(sigma: float, center: int, rng: np.random.Generator) -> int:
-    """One sample of the discrete Gaussian on Z, weight exp(-(k-c)^2/2s^2)."""
-    ks, cdf = _dgauss1_table(float(sigma))
-    return int(center) + int(ks[np.searchsorted(cdf, rng.random(), side="right")])
+    """One sample of the discrete Gaussian on Z, weight exp(-(k-c)^2/2s^2).
+
+    sigma must be positive, finite and at most SIGMA_MAX.  One draw is one
+    rng.random() and one bisect of the cached CDF, which picks the index
+    np.searchsorted(cdf, u, side="right") picks, so a seed gives the same
+    draws as a searchsorted sampler.
+    """
+    return int(center) + _sampler(_dgauss1_cdf(float(sigma)), rng)()
 
 
 def dgauss2(sigma: float, center: Vec2, rng: np.random.Generator) -> Vec2:
@@ -57,7 +85,8 @@ def dgauss2(sigma: float, center: Vec2, rng: np.random.Generator) -> Vec2:
     The density is separable, so the two coordinates are independent 1-D
     discrete Gaussians.
     """
-    return (dgauss1(sigma, center[0], rng), dgauss1(sigma, center[1], rng))
+    draw = _sampler(_dgauss1_cdf(float(sigma)), rng)
+    return (int(center[0]) + draw(), int(center[1]) + draw())
 
 
 def gen_product(
@@ -72,31 +101,34 @@ def gen_product(
     Columns of C are nonzero quadrant samples; rows of B are nonzero
     samples lying in the dual cone of the columns (boundary allowed).  The
     whole instance is resampled until both factors have rank 2.
+
+    A B row q is tested against C's two angular extremes lo and hi only:
+    the columns lie in the open half-plane x + y > 0, so each is a
+    nonnegative combination of lo and hi, and q.c >= 0 for every column
+    exactly when q.lo >= 0 and q.hi >= 0.  That accepts the candidates a
+    test against every column accepts, and the draws are dgauss1's, so a
+    seed or an rng state gives the same instance and consumes the same
+    draws either way.
     """
     if rows < 2 or cols < 2:
         raise ValueError("product instances need rows >= 2 and cols >= 2")
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError("sigma must be positive")
+    cdf = _dgauss1_cdf(float(sigma))
     if sigma < 0.5:
         # nearly every draw is then the origin, which is resampled: a 3 x 3
         # takes seconds at sigma = 0.2 and never returns at 0.01
         raise ValueError("sigma must be at least 1/2")
-    if sigma > SIGMA_MAX:
-        # the sampler's table holds 24 sigma + 1 entries: 2.4 M at the cap,
-        # terabytes at sigma = 1e12
-        raise ValueError(f"sigma must be at most {SIGMA_MAX}")
-    if rng is None:
-        rng = seeded_rng(seed)
+    draw = _sampler(cdf, rng if rng is not None else seeded_rng(seed))
     while True:
         ccols: list[Vec2] = []
         while len(ccols) < cols:
-            p = dgauss2(sigma, (0, 0), rng)
+            p = (draw(), draw())
             if p != (0, 0) and p[0] >= 0 and p[1] >= 0:
                 ccols.append(p)
+        (lx, ly), (hx, hy) = _extremes(ccols)
         brows: list[Vec2] = []
         while len(brows) < rows:
-            q = dgauss2(sigma, (0, 0), rng)
-            if q != (0, 0) and all(q[0] * c[0] + q[1] * c[1] >= 0 for c in ccols):
+            q = (draw(), draw())
+            if q != (0, 0) and q[0] * lx + q[1] * ly >= 0 and q[0] * hx + q[1] * hy >= 0:
                 brows.append(q)
         if _pivot(ccols) is not None and _pivot(brows) is not None:
             break

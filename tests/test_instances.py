@@ -1,11 +1,23 @@
 import hashlib
+import itertools
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import run_python
-from nnirank2.instances import SIGMA_MAX, dgauss2, gen_bt, gen_near_t, gen_product
-from nnirank2.linalg import rank_exact
+from nnirank2.instances import (
+    SIGMA_MAX,
+    _dgauss1_cdf,
+    _sampler,
+    dgauss1,
+    dgauss2,
+    gen_bt,
+    gen_near_t,
+    gen_product,
+)
+from nnirank2.linalg import _extremes, rank_exact
 from nnirank2.matrixio import format_matrix
 
 
@@ -33,6 +45,72 @@ def test_dgauss2_integrality():
     for _ in range(200):
         x, y = dgauss2(3.0, (0, 0), rng)
         assert isinstance(x, int) and isinstance(y, int)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 3, 25, 1000, SIGMA_MAX])
+def test_sampler_index_matches_searchsorted(sigma):
+    # u at every CDF value below 1 and just below it, 0.0 and 20k random u:
+    # the bisect draw is the searchsorted index minus the radius
+    table = _dgauss1_cdf(float(sigma))
+    cdf = np.asarray(table)
+    radius = math.ceil(12 * sigma)
+    assert len(cdf) == 2 * radius + 1 and cdf[-1] == 1.0
+    below = cdf[cdf < 1.0]
+    us = np.concatenate([below, np.nextafter(below, 0.0), [0.0], np.random.default_rng(5).random(20_000)])
+    for chunk in np.array_split(us, max(1, len(us) // 100_000)):
+        draw = _sampler(table, SimpleNamespace(random=iter(chunk.tolist()).__next__))
+        got = np.fromiter(iter(draw, None), dtype=np.int64, count=len(chunk))
+        assert (got == np.searchsorted(cdf, chunk, side="right") - radius).all()
+
+
+def test_two_extremes_decide_the_dual_cone():
+    # q.c >= 0 for every column c exactly when q.lo >= 0 and q.hi >= 0 for
+    # C's angular extremes: axis columns, duplicates, all-parallel columns
+    col_sets = [
+        [(1, 0), (0, 1)],
+        [(0, 3), (0, 1)],
+        [(2, 0)],
+        [(2, 3), (2, 3), (1, 1)],
+        [(1, 2), (2, 4), (3, 6)],
+        [(1, 0), (3, 1), (1, 1), (0, 2), (3, 1)],
+        [(5, 1), (4, 1), (1, 3)],
+    ]
+    rng = np.random.default_rng(3)
+    while len(col_sets) < 200:
+        cols = [tuple(int(v) for v in rng.integers(0, 4, 2)) for _ in range(int(rng.integers(1, 6)))]
+        if (0, 0) not in cols:
+            col_sets.append(cols)
+    grid = list(itertools.product(range(-7, 8), repeat=2))
+    for cols in col_sets:
+        lo, hi = _extremes(cols)
+        # candidates on either boundary ray of the dual cone and past them
+        rays = [(k * a, k * b) for x, y in (lo, hi) for a, b in ((-y, x), (y, -x)) for k in (1, 3)]
+        for q in grid + rays:
+            every = all(q[0] * c[0] + q[1] * c[1] >= 0 for c in cols)
+            two = q[0] * lo[0] + q[1] * lo[1] >= 0 and q[0] * hi[0] + q[1] * hi[1] >= 0
+            assert every == two, (cols, q)
+
+
+def test_cdf_cache_is_bounded():
+    bound = _dgauss1_cdf.cache_info().maxsize
+    assert bound is not None
+    for i in range(bound + 3):
+        dgauss1(1.5 + i / 100, 0, np.random.default_rng(i))
+    assert _dgauss1_cdf.cache_info().currsize <= bound
+
+
+@pytest.mark.parametrize("sample", [lambda s, r: dgauss1(s, 0, r), lambda s, r: dgauss2(s, (5, 5), r)])
+def test_samplers_reject_invalid_sigma(sample):
+    # sigma = 0 drew (4, 4) every time from a NaN table, -3 drew from a
+    # 3-point table and 1e12 asked for a 175 TiB table
+    rng = np.random.default_rng(0)
+    for s in (0, 0.0, -3.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            sample(s, rng)
+    for s in (SIGMA_MAX * 1.5, 1e12):
+        with pytest.raises(ValueError, match=f"sigma must be at most {SIGMA_MAX}"):
+            sample(s, rng)
+    sample(SIGMA_MAX, rng)  # the cap itself is accepted
 
 
 def test_gen_product_properties():
