@@ -510,6 +510,38 @@ def test_pair_bound_covers_the_exact_count():
     assert worst > 0.4  # bt's exhaustive searches reach half the bound
 
 
+def sweep_steps(dec) -> int:
+    """The b sweep's length in closed form: v_point - k*u stays in the cone
+    (1,0), c while k <= vy/uy and k <= cross(v_point, c)/cross(u, c), each
+    bound taken only where its denominator is positive."""
+    (vx, vy), (ux, uy), (cx, cy) = dec.v_point, dec.u, dec.c
+    bounds = [n // d for n, d in ((vy, uy), (vx * cy - vy * cx, ux * cy - uy * cx)) if d > 0]
+    return min(bounds) + 1
+
+
+def test_not_rank2_searches_examine_every_pair():
+    # an exhaustive search examines every triangle point but u_point, whose
+    # pairs come from the b sweep, and every sweep step: T - 1 + S pairs
+    corpus = [gen_bt(t) for t in range(1, 301)]
+    corpus += [gen_near_t(3 + i % 297, seed=[4545, i]) for i in range(150)]
+    corpus += [
+        gen_product(n, n + i % 3, sigma, seed=[4546, i])[2]
+        for i, (n, sigma) in enumerate((n, s) for _ in range(12) for n in (2, 3, 5) for s in (3, 25, 100))
+    ]
+    checked = 0
+    for A in corpus:
+        for r in (1, 2):
+            cd = canonical(A, r)
+            dec = decompose(cd)
+            if solver._pair_bound(dec) > solver.MAX_CANDIDATE_PAIRS:
+                continue  # the search may run on the other index's diagram
+            out = search(cd)
+            if out.verdict == NOT_RANK2:
+                assert out.pairs_examined == len(triangle_points(dec)) - 1 + sweep_steps(dec), (A.tolist(), r)
+                checked += 1
+    assert checked == 732
+
+
 
 def test_search_refuses_a_pair_bound_above_the_limit():
     # near_t(10**19) bounds at about 2.5*10**37 pairs; a child process, so a
