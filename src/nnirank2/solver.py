@@ -18,6 +18,7 @@ from math import gcd
 
 import numpy as np
 
+from . import linalg
 from .diagram import CanonicalDiagram, build_diagram, canonicalize, in_cone
 from .linalg import (
     Vec2,
@@ -33,27 +34,32 @@ RANK2 = "rank2"
 NOT_RANK2 = "not_rank2"
 RANK_LE_1 = "rank_le_1"
 
-# The triangle search takes 10-13 ns per pair in its int64 batch and 50-300 ns
-# in its Python walk (2-vCPU Xeon), so 2·10⁸ pairs is 2.5-60 s.  A search whose
-# pair bound exceeds that (bt(10⁴) bounds at 2.5·10⁷, near_t(10¹⁹) at
-# 2.5·10³⁷) gets only PROBE_PAIRS pairs: a rank2 matrix with a huge triangle
-# can still win among its first few.
+# The triangle search takes about 5 ns per pair in its float64 batch, 9-11 in
+# its int64 one and 50-300 ns in its Python walk (bt(10⁴) and near_t(10⁴),
+# 2-vCPU Xeon), so 2·10⁸ pairs is 1.5-60 s.  A search whose pair bound
+# exceeds that (bt(10⁴) bounds at 2.5·10⁷, near_t(10¹⁹) at 2.5·10³⁷) gets
+# only PROBE_PAIRS pairs: a rank2 matrix with a huge triangle can still win
+# among its first few.
 MAX_CANDIDATE_PAIRS = 2 * 10**8
 PROBE_PAIRS = 10**6
-# A search walks its first pairs in Python and hands the int64 batch only
-# the columns after this many: a block's numpy set-up (about 30 us) costs
-# more than walking a few hundred pairs, and the pair bound, often 100 times
-# the true count on a product, cannot pick out the short searches up front.
-_BATCH_MIN_PAIRS = 512
-# Pairs per int64 block: the first block is small, so that a winner soon
-# after the Python walk pays little for it; each later one is 4 times
-# larger, up to a cap that keeps each of a block's arrays at 64 KiB, in
-# cache (at 2**16 pairs a block cost 28 ns per pair on bt(10⁴), at 2**13 11).
-# The cap also bounds the columns in each chunk the blocks are cut from, so
-# no array grows with the number of columns.
+# A search walks its first pairs in Python and hands the batch only the
+# columns after this many: entering the batch (a chunk's column bounds, the
+# i*ux array, the first block) costs about 30-40 us, and the pair bound,
+# often 100 times the true count on a product, cannot pick out the short
+# searches up front.  Against 512 pairs, 128 cut the benchmark's
+# triangle_sweep median solve by a further 13% and left product_small's p90
+# as it was; 32 cut triangle_sweep by 3% more but made product_small's p90
+# 5% slower (paired runs, best of 10-15 per instance, 2-vCPU Xeon).
+_BATCH_MIN_PAIRS = 128
+# Pairs per block: the first block is small, so that a winner soon after
+# the Python walk pays little for it; each later one is 4 times larger, up
+# to a cap that keeps each of a block's arrays at 64 KiB, in cache (on
+# bt(10⁴) a float64 block cost 19 ns per pair at 2**16 pairs, and 5-7 at
+# 2**13).  The cap also bounds the columns in each chunk the blocks are cut
+# from, so no array grows with the number of columns.
 _BATCH_FIRST, _BATCH_MAX = 2**10, 2**13
-# The batch's int64 gate: see _fits_int64
-_BATCH_INT64_BOUND = 2**62
+# The batch's int64 and float64 gates: see _batch_dtype
+_BATCH_INT64_BOUND, _BATCH_FLOAT_BOUND = 2**62, 2**53
 # verify_factorization's int64 gate on max(F1) * max(F2): see _int64_product
 _PRODUCT_INT64_BOUND = 2**61
 
@@ -193,16 +199,33 @@ def _pair_bound(dec: ConeDecomposition) -> int:
     return area + uy + ux - _x_lo(dec) + 1 + max(dec.v_point) + 2
 
 
-def _survivors(xs, offsets, N, pieces, first: int, ux: int, uy: int):
+def _survivors(xs, offsets, N, pieces, first: int, ux: int, uy: int, iux):
     """(x, y, i) of each pair, i-th in a block of column pieces, that
-    passes the one-modulo test of :func:`search`; in int64, which the caller
-    gates.  pieces[j] pairs lie in column xs[j], whose test number is N[j],
-    and the pair with index k, counted from ``first`` for the block's first,
-    has y = k + offsets[j]."""
-    x = np.repeat(xs, pieces)
-    y = np.arange(first, first + x.size) + np.repeat(offsets, pieces)
-    keep = np.flatnonzero(np.repeat(N, pieces) % (x * uy - y * ux) == 0)
-    return zip(x[keep].tolist(), y[keep].tolist(), keep.tolist())
+    passes the one-modulo test of :func:`search`.  pieces[j] pairs lie in
+    column xs[j], whose test number is N[j], and the pair with index k,
+    counted from ``first`` for the block's first, has y = k + offsets[j].
+
+    The i-th pair of piece j has C = x*uy - y*ux = base_j - i*ux, for
+    base_j = xs[j]*uy - (offsets[j] + first)*ux, and iux[i] = i*ux; so C is
+    one repeat of base, and x and y are recovered only for the survivors.
+    N and iux are float64 or int64 arrays, as :func:`_batch_dtype` gates
+    them.  In int64 a pair survives when N % C == 0.  In float64 it
+    survives when q = N/C is an integer, which is the same test: under the
+    float64 gate N, C, base and i*ux are integers below 2**53, held exactly.
+    If C divides N, q is that integer exactly.  If not, N/C is at least 1/C
+    from every integer, and the division errs by at most (N/C)*2**-53 <
+    1/C, so q is no integer either.
+    """
+    C = np.repeat((xs * uy - (offsets + first) * ux).astype(N.dtype), pieces)
+    C -= iux[:C.size]
+    N = np.repeat(N, pieces)
+    if N.dtype == np.float64:
+        q = N / C
+        keep = np.flatnonzero(np.rint(q) == q)
+    else:
+        keep = np.flatnonzero(N % C == 0)
+    j = np.searchsorted(np.cumsum(pieces), keep, side="right")
+    return zip(xs[j].tolist(), (keep + first + offsets[j]).tolist(), keep.tolist())
 
 
 def _coefficients(a: Vec2, b: Vec2, points) -> list[Vec2] | int:
@@ -236,15 +259,25 @@ def _rejection(pair: CandidatePair, points, i: int) -> PairRejection:
     return PairRejection(pair, i, coeffs)
 
 
-def _fits_int64(dec: ConeDecomposition, G: int) -> bool:
-    """The int64 gate of :func:`search`'s batch: every product it forms, in
-    the one-modulo test and in :func:`_column_range`, stays below
-    _BATCH_INT64_BOUND."""
+def _batch_dtype(dec: ConeDecomposition, G: int):
+    """The dtype of :func:`search`'s batch: np.float64 under both gates
+    below, np.int64 under the int64 one alone, None above it.
+
+    int64: every product the batch forms, in the one-modulo test and in
+    :func:`_column_range`, stays below _BATCH_INT64_BOUND.  float64: N and
+    every base and i*ux of :func:`_survivors`, hence every C, stay below
+    _BATCH_FLOAT_BOUND; N = G*x*(ux - x) <= G*(ux*ux // 4) and base_j = C +
+    i*ux <= ux*uy + _BATCH_MAX*ux.
+    """
     ux, uy = dec.u_point
     (vx, vy), (cx, cy) = dec.v, dec.c
-    return max(
+    if max(
         G * ux * ux, uy * ux, abs(vy) * ux + abs(vx * uy - vy * ux), cy * ux + abs(ux * cy - uy * cx)
-    ) < _BATCH_INT64_BOUND
+    ) >= _BATCH_INT64_BOUND:
+        return None
+    if max(G * (ux * ux // 4), ux * (uy + _BATCH_MAX)) < _BATCH_FLOAT_BOUND:
+        return np.float64
+    return np.int64
 
 
 def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutcome:
@@ -275,19 +308,29 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     exists and every pair goes on to the index test.
 
     With pruning on and a pair bound up to MAX_CANDIDATE_PAIRS, the columns
-    x < ux after the first _BATCH_MIN_PAIRS pairs run that test as int64
+    x < ux after the first _BATCH_MIN_PAIRS pairs run that test as numpy
     arrays.  They are taken in chunks of up to _BATCH_MAX columns; each
     chunk's column bounds and the prefix sum of its column lengths come
     from a fixed number of array operations, and the chunk's pairs are cut
     into blocks of _BATCH_FIRST pairs growing to _BATCH_MAX, whose survivors
-    join the stream in the same order.
-    Gate: as 0 <= y <= uy, every x*uy, y*ux <= ux*uy and N <= G*ux**2/4;
-    the column bounds' products stay within |vy|*ux + |vx*uy - vy*ux| and
-    cy*ux + |ux*cy - uy*cx|, and a chunk's prefix sum within the pair bound.
-    With all of these below _BATCH_INT64_BOUND = 2**62 nothing overflows;
-    otherwise, as in the dx == 0 column and the b sweep, the Python walk
-    runs, at any magnitude.  Either way ``pairs_examined`` and every record
-    are the same.
+    join the stream in the same order.  Each block is one call of
+    :func:`_survivors`, and :func:`_batch_dtype` picks its arithmetic.
+    int64 gate: as 0 <= y <= uy, every x*uy, y*ux <= ux*uy and N <=
+    G*ux**2/4; the column bounds' products stay within |vy|*ux + |vx*uy -
+    vy*ux| and cy*ux + |ux*cy - uy*cx|, and a chunk's prefix sum within the
+    pair bound.  With all of these below _BATCH_INT64_BOUND = 2**62 nothing
+    overflows (ux < 2**31 then, so base_j <= ux*uy + _BATCH_MAX*ux < 2**63).
+    float64 gate: with N <= G*(ux*ux // 4) and ux*(uy + _BATCH_MAX) also
+    below _BATCH_FLOAT_BOUND = 2**53, every N, C, base_j and i*ux is an
+    integer that float64 holds exactly, and the quotient test N/C is exact
+    (proof in :func:`_survivors`): it runs in float64, at about half the
+    cost of the int64 modulo.  Above the int64 gate, as in the dx == 0
+    column and the b sweep, the Python walk runs, at any magnitude.  Either
+    way ``pairs_examined`` and every record are the same.
+
+    The walk takes _column_range's conditions with the constants of its
+    v and c lines computed once: in a canonical diagram vx, cx >= 0, so the
+    v line only caps a column's top and the c line only raises its bottom.
 
     When :func:`_pair_bound` exceeds MAX_CANDIDATE_PAIRS but the bound at
     the other canonization index, that of ``canonicalize(cd, 2)``, is within
@@ -317,6 +360,12 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     rejections: list[PairRejection] | None = [] if collect_rejections else None
     prune = rejections is None
     ux, uy = dec.u_point
+    (vx, vy), (cx, cy) = dec.v, dec.c
+    if vx < 0 or cx < 0:
+        raise RuntimeError("internal error: v or c leaves the canonical quadrant")
+    # the constant terms of _column_range's v and c lines
+    dv, dc = vx * uy - vy * ux, ux * cy - uy * cx
+    dtype = _batch_dtype(dec, G) if prune and bound <= MAX_CANDIDATE_PAIRS else None
     pairs = 0  # the pairs counted so far, after each column, block and sweep step
 
     def pair(x: int, y: int, k: int) -> tuple[Vec2, Vec2, int]:
@@ -325,33 +374,45 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
         g2 = gcd(dx, dy)
         return (x // g1, y // g1), (dx // g2, dy // g2), k
 
-    def walk(x: int):
-        # column x in Python ints, at any magnitude, up to the limit
+    def walk(x: int, handoff: bool):
+        # columns x, x + 1, ..., ux in Python ints, at any magnitude, up to the
+        # limit; with handoff, the first column x < ux reached after
+        # _BATCH_MIN_PAIRS pairs is left to the batch and returned
         nonlocal pairs
-        lo, hi = _column_range(dec, x)
-        if x == ux:
-            # u_point tops its column; its pairs come from the b sweep
-            if hi != uy:
-                raise RuntimeError("internal error: u_point is not its column's top")
-            hi -= 1
-        over = hi - lo + 1 > limit - pairs  # walk no further than the limit
-        hi = min(hi, lo + limit - pairs - 1)
-        top = x * uy
-        # 0 sends every pair on: under collect_rejections, and where dx == 0
-        N = G * x * (ux - x) if prune else 0
-        # C = cross(k*a, u_point) = x*uy - y*ux for y = lo, ..., hi
-        for C in range(top - lo * ux, top - hi * ux - 1, -ux):
-            if N % C == 0:
-                y = (top - C) // ux
-                yield pair(x, y, pairs + y - lo + 1)
-        pairs += max(0, hi - lo + 1)
-        if over:
-            raise ValueError(refusal)
+        while x <= ux:
+            if handoff and x < ux and pairs >= _BATCH_MIN_PAIRS:
+                return x
+            # _column_range with vx, cx >= 0: the v line caps hi, the c line raises lo
+            hi = uy * x // ux
+            if vx:
+                hi = min(hi, (vy * x + dv) // vx)
+            lo = max(0, -((dc - cy * x) // cx)) if cx else 0
+            if x == ux:
+                # u_point tops its column; its pairs come from the b sweep
+                if hi != uy:
+                    raise RuntimeError("internal error: u_point is not its column's top")
+                hi -= 1
+            over = hi - lo + 1 > limit - pairs  # walk no further than the limit
+            hi = min(hi, lo + limit - pairs - 1)
+            top = x * uy
+            # 0 sends every pair on: under collect_rejections, and where dx == 0
+            N = G * x * (ux - x) if prune else 0
+            # C = cross(k*a, u_point) = x*uy - y*ux for y = lo, ..., hi
+            for C in range(top - lo * ux, top - hi * ux - 1, -ux):
+                if N % C == 0:
+                    y = (top - C) // ux
+                    yield pair(x, y, pairs + y - lo + 1)
+            pairs += max(0, hi - lo + 1)
+            if over:
+                raise ValueError(refusal)
+            x += 1
+        return x
 
     def batch(x0: int):
-        # the columns x0..ux-1 in int64, under the bound, so never past the limit
+        # the columns x0..ux-1 in dtype, under the bound, so never past the limit
         nonlocal pairs
         size = _BATCH_FIRST
+        iux = np.arange(_BATCH_MAX, dtype=dtype) * ux
         for start in range(x0, ux, _BATCH_MAX):
             xs = np.arange(start, min(start + _BATCH_MAX, ux), dtype=np.int64)
             lo, hi = _column_range(dec, xs, np.maximum, np.minimum)
@@ -359,7 +420,7 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
             ends = np.cumsum(counts)
             # y - k for the chunk's k-th pair: a column's last, k = ends - 1, has y = hi
             offsets = hi + 1 - ends
-            N = G * xs * (ux - xs)
+            N = (G * xs * (ux - xs)).astype(dtype)
             done, total = 0, int(ends[-1])
             while done < total:
                 cut = min(done + size, total)
@@ -371,7 +432,7 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
                 pieces[0] -= done - (ends[j0] - counts[j0])
                 pieces[-1] -= ends[j1] - cut
                 for x, y, i in _survivors(
-                    xs[cols], offsets[cols], N[cols], pieces, done, ux, uy
+                    xs[cols], offsets[cols], N[cols], pieces, done, ux, uy, iux
                 ):
                     yield pair(x, y, pairs + i + 1)
                 pairs += cut - done
@@ -382,8 +443,8 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
         # b = v_point - k2*a, primitive, for k2 = 0, 1, ... while in the cone
         nonlocal pairs
         a = dec.u
-        vx, vy = dec.v_point
-        k2, qx, qy = 0, vx, vy
+        px, py = dec.v_point
+        k2, qx, qy = 0, px, py
         while in_cone((qx, qy), (1, 0), dec.c):
             pairs += 1
             if pairs > limit:
@@ -391,21 +452,17 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
             g = gcd(qx, qy)
             yield a, (qx // g, qy // g), pairs
             k2 += 1
-            qx, qy = vx - k2 * a[0], vy - k2 * a[1]
+            qx, qy = px - k2 * a[0], py - k2 * a[1]
         # the sweep leaves the cone after at most max(v_point) + 1 steps
-        if k2 > 1 + max(vx, vy):
+        if k2 > 1 + max(px, py):
             raise RuntimeError("internal error: the b sweep overran its bound")
 
     def stream():
         # the walked prefix, the batch, u_point's column, then the b sweep
-        batched = prune and bound <= MAX_CANDIDATE_PAIRS and _fits_int64(dec, G)
-        x = _x_lo(dec)
-        while x < ux and not (batched and pairs >= _BATCH_MIN_PAIRS):
-            yield from walk(x)
-            x += 1
+        x = yield from walk(_x_lo(dec), dtype is not None)
         if x < ux:
             yield from batch(x)
-        yield from walk(ux)
+            yield from walk(ux, False)
         yield from sweep()
 
     for a, b, k in stream():
@@ -470,9 +527,10 @@ def verify_factorization(A, F1, F2) -> bool:
     nonnegative integer entries throughout.  Never raises.
 
     Each matrix is validated once.  The product is the int64 one of
-    :func:`_int64_product` when that is exact, else a product on Python
-    ints, row by row; either way its entries are compared with A's as
-    Python ints.
+    :func:`_int64_product` when A has at least linalg._INT64_MIN_ENTRIES
+    entries, the frame's size cut, and that product is exact; else a
+    product on Python ints, row by row, faster on a small A.  Either way
+    its entries are compared with A's as Python ints.
     """
     try:
         (rows, _), (f1, _), (f2, _) = (_int_rows(X) for X in (A, F1, F2))
@@ -480,7 +538,7 @@ def verify_factorization(A, F1, F2) -> bool:
         return False
     if (len(f1), len(f1[0]), len(f2), len(f2[0])) != (len(rows), 2, 2, len(rows[0])):
         return False
-    P = _int64_product(f1, f2)
+    P = _int64_product(f1, f2) if len(rows) * len(rows[0]) >= linalg._INT64_MIN_ENTRIES else None
     if P is not None:
         return P.tolist() == rows
     if any(x < 0 for x in chain(*f1, *f2)):

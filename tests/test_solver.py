@@ -8,7 +8,7 @@ import pytest
 
 from conftest import SUBMATRIX_4COL, run_python
 from nnirank2.diagram import Diagram, build_diagram, canonicalize, in_cone
-from nnirank2 import solver
+from nnirank2 import linalg, solver
 from nnirank2.instances import gen_bt, gen_near_t, gen_product
 from nnirank2.linalg import _hermite2, as_int_matrix, cross2, primitive_point, rank_exact
 from nnirank2.oracle import brute_force
@@ -221,6 +221,28 @@ def test_verify_factorization_int64_and_python_products_agree(monkeypatch):
     assert [verify_factorization(A, F1, F2) for A, F1, F2, _ in cases] == [ok for *_, ok in cases]
     monkeypatch.setattr(solver, "_int64_product", lambda f1, f2: None)
     assert [verify_factorization(A, F1, F2) for A, F1, F2, _ in cases] == [ok for *_, ok in cases]
+
+
+def test_verify_factorization_takes_the_int64_product_from_the_size_cut(monkeypatch):
+    # below linalg._INT64_MIN_ENTRIES entries in A the Python product runs;
+    # with the cut at 0 the int64 one runs wherever it is exact: same answers
+    cases = list(certificates())
+    want = [ok for *_, ok in cases]
+    assert max(len(A) * len(A[0]) for A, *_ in cases) < linalg._INT64_MIN_ENTRIES
+    calls = []
+    product = solver._int64_product
+
+    def counted(f1, f2):
+        P = product(f1, f2)
+        calls.append(P is not None)
+        return P
+
+    monkeypatch.setattr(solver, "_int64_product", counted)
+    assert [verify_factorization(A, F1, F2) for A, F1, F2, _ in cases] == want
+    assert calls == []
+    monkeypatch.setattr(linalg, "_INT64_MIN_ENTRIES", 0)
+    assert [verify_factorization(A, F1, F2) for A, F1, F2, _ in cases] == want
+    assert True in calls and False in calls
 
 
 def test_int64_product_bound():
@@ -710,6 +732,119 @@ def test_int64_gate_sends_a_search_to_the_python_walk(monkeypatch):
     blocks.clear()
     out = solve(rows)
     assert (out.verdict, out.pairs_examined, blocks) == (RANK2, 120, [])
+
+
+def python_survivors(xs, offsets, N, pieces, first, ux, uy):
+    """_survivors' (x, y, i) in Python ints: the pairs with N % C == 0."""
+    out, i = [], 0
+    for x, offset, n, m in zip(xs, offsets, N, pieces):
+        for _ in range(m):
+            y = first + i + offset
+            if n % (x * uy - y * ux) == 0:
+                out.append((x, y, i))
+            i += 1
+    return out
+
+
+def kernel_survivors(dtype, xs, offsets, N, pieces, first, ux, uy):
+    """_survivors on the block, its N and i*ux arrays in dtype."""
+    iux = (np.arange(solver._BATCH_MAX, dtype=np.int64) * ux).astype(dtype)
+    block = [np.array(v, dtype=np.int64) for v in (xs, offsets, N, pieces)]
+    block[2] = block[2].astype(dtype)
+    return list(solver._survivors(*block, first, ux, uy, iux))
+
+
+def test_float_quotient_test_is_the_modulo_test():
+    # N = k*C and k*C +- 1 just below 2**53, for C from 1 up to the float
+    # gate's ux*(uy + _BATCH_MAX) < 2**53: one pair per piece, ux = 1, so
+    # pair j of column 1 with offset uy - C - j has that C
+    ux, uy = 1, 2**53 - solver._BATCH_MAX - 1
+    rng = random.Random(53)
+    cs = [uy, uy - 1, uy // 2 + 1, uy // 3, 2**26 + 1, 2**26 - 1, 3, 2, 1]
+    cs += [rng.randrange(1, uy + 1) for _ in range(300)]
+    xs, offsets, N = [], [], []
+    for C in cs:
+        k = (2**53 - 2) // C
+        for n in (k * C - 1, k * C, k * C + 1, C, C + 1):
+            xs.append(1)
+            offsets.append(uy - C - len(N))
+            N.append(n)
+    pieces = [1] * len(N)
+    assert max(N) < 2**53 and len(N) <= solver._BATCH_MAX
+    want = python_survivors(xs, offsets, N, pieces, 0, ux, uy)
+    assert len(want) == 2 * len(cs) + 3  # k*C and C, and every N where C == 1
+    for dtype in (np.float64, np.int64):
+        assert kernel_survivors(dtype, xs, offsets, N, pieces, 0, ux, uy) == want
+    # blocks of several columns with pieces of many pairs, and ux > 1
+    for _ in range(40):
+        ux = rng.randrange(2, 2**20)
+        uy = rng.randrange(1, 2**53 // ux - solver._BATCH_MAX)
+        first, i = rng.randrange(10**6), 0
+        xs, offsets, N, pieces = [], [], [], []
+        while i < solver._BATCH_MAX - 200:
+            x = rng.randrange(1, ux)
+            top = (x * uy - 1) // ux  # the largest y with C > 0
+            m = rng.randrange(1, min(top, 150) + 2) if top >= 0 else 0
+            if m == 0:
+                continue
+            y0 = rng.randrange(0, top - m + 2)
+            C = x * uy - (y0 + rng.randrange(m)) * ux
+            xs.append(x)
+            offsets.append(y0 - first - i)
+            N.append((2**53 - 1) // C * C + rng.choice((-1, 0, 0, 1)))
+            pieces.append(m)
+            i += m
+        want = python_survivors(xs, offsets, N, pieces, first, ux, uy)
+        assert want
+        for dtype in (np.float64, np.int64):
+            assert kernel_survivors(dtype, xs, offsets, N, pieces, first, ux, uy) == want
+
+
+def record_dtypes(monkeypatch) -> list:
+    """Record the dtype of the N array of every block the batch tests."""
+    dtypes = []
+    survivors = solver._survivors
+
+    def recorded(xs, offsets, N, *args):
+        dtypes.append(N.dtype)
+        return survivors(xs, offsets, N, *args)
+
+    monkeypatch.setattr(solver, "_survivors", recorded)
+    return dtypes
+
+
+def test_float_gate_sends_a_search_to_the_int64_kernel(monkeypatch):
+    # one below its gate value a search's blocks run in int64, at the value
+    # in float64; both give the same record
+    dtypes = record_dtypes(monkeypatch)
+    monkeypatch.setattr(solver, "_BATCH_MIN_PAIRS", 0)
+    for A in (gen_bt(300), gen_near_t(200, seed=[9, 3])):
+        cd = canonical(A)
+        (ux, uy), ((h1, _), (_, h2)) = decompose(cd).u_point, _hermite2(cd.points)
+        gate = max(h1 * h2 * (ux * ux // 4), ux * (uy + solver._BATCH_MAX))
+        records = []
+        for bound, dtype in ((gate + 1, np.float64), (gate, np.int64)):
+            monkeypatch.setattr(solver, "_BATCH_FLOAT_BOUND", bound)
+            dtypes.clear()
+            records.append(search_record(cd))
+            assert dtypes and set(dtypes) == {np.dtype(dtype)}
+        assert records[0] == records[1]
+
+
+def test_int64_kernel_runs_between_the_gates(monkeypatch):
+    # r=1 bounds this product at 315,294,265 pairs, above the limit, so the
+    # search runs on the r=2 diagram; there G*ux**2 has 56 bits, above the
+    # float64 gate and within the int64 one
+    A = gen_product(3, 3, 5000, seed=[99, 237])[2]
+    assert solver._pair_bound(decompose(canonical(A, 1))) == 315294265
+    cd = canonical(A, 2)
+    (ux, _), ((h1, _), (_, h2)) = decompose(cd).u_point, _hermite2(cd.points)
+    assert (h1 * h2 * ux * ux).bit_length() == 56
+    dtypes = record_dtypes(monkeypatch)
+    out = solve(A)
+    assert (out.verdict, out.pairs_examined) == (RANK2, 569131)
+    assert verify_factorization(A, out.certificate.F1, out.certificate.F2)
+    assert dtypes and set(dtypes) == {np.dtype(np.int64)}
 
 
 @pytest.mark.parametrize("collect", [False, True])
