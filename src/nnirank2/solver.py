@@ -11,6 +11,7 @@ gives a finite, complete search.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -169,6 +170,14 @@ def _column_range(dec: ConeDecomposition, x, maximum=max, minimum=min):
     return lo, hi
 
 
+def _cut(lo, top, N, ux: int, maximum=max):
+    """The first y of a column, from lo up, to test against N: its pairs
+    have C = top - y*ux, and a C > N cannot divide N > 0 (see :func:`search`),
+    so the cut is ⌈(top - N)/ux⌉.  N = 0, which sends every pair on, cuts
+    nothing.  Ints, or int64 arrays with np.maximum as ``maximum``."""
+    return maximum(lo, -((N - (N > 0) * top) // ux))
+
+
 def triangle_points(dec: ConeDecomposition) -> list[Vec2]:
     """Lattice points of the triangle K₋ ∩ (u_point − K₊), lexicographic:
     its columns x = :func:`_x_lo`..ux, each from :func:`_column_range`."""
@@ -204,6 +213,9 @@ def _survivors(xs, offsets, N, pieces, first: int, ux: int, uy: int, iux):
     passes the one-modulo test of :func:`search`.  pieces[j] pairs lie in
     column xs[j], whose test number is N[j], and the pair with index k,
     counted from ``first`` for the block's first, has y = k + offsets[j].
+    In search, N[j] = h2*x*(ux - x): a winning pair holds the point
+    lattice's (0, h2), so its C divides N; and as a divisor of N > 0 is at
+    most N, the pieces hold only the pairs with C <= N (:func:`_cut`).
 
     The i-th pair of piece j has C = x*uy - y*ux = base_j - i*ux, for
     base_j = xs[j]*uy - (offsets[j] + first)*ux, and iux[i] = i*ux; so C is
@@ -216,15 +228,16 @@ def _survivors(xs, offsets, N, pieces, first: int, ux: int, uy: int, iux):
     from every integer, and the division errs by at most (N/C)*2**-53 <
     1/C, so q is no integer either.
     """
-    C = np.repeat((xs * uy - (offsets + first) * ux).astype(N.dtype), pieces)
+    # array methods, not np.repeat & co.: their dispatch costs 1-3 us a call
+    C = (xs * uy - (offsets + first) * ux).astype(N.dtype).repeat(pieces)
     C -= iux[:C.size]
-    N = np.repeat(N, pieces)
+    N = N.repeat(pieces)
     if N.dtype == np.float64:
         q = N / C
-        keep = np.flatnonzero(np.rint(q) == q)
+        keep = (np.rint(q) == q).nonzero()[0]
     else:
-        keep = np.flatnonzero(N % C == 0)
-    j = np.searchsorted(np.cumsum(pieces), keep, side="right")
+        keep = (N % C == 0).nonzero()[0]
+    j = pieces.cumsum().searchsorted(keep, side="right")
     return zip(xs[j].tolist(), (keep + first + offsets[j]).tolist(), keep.tolist())
 
 
@@ -266,7 +279,7 @@ def _batch_dtype(dec: ConeDecomposition, G: int):
     int64: every product the batch forms, in the one-modulo test and in
     :func:`_column_range`, stays below _BATCH_INT64_BOUND.  float64: N and
     every base and i*ux of :func:`_survivors`, hence every C, stay below
-    _BATCH_FLOAT_BOUND; N = G*x*(ux - x) <= G*(ux*ux // 4) and base_j = C +
+    _BATCH_FLOAT_BOUND; N = h2*x*(ux - x) <= G*(ux*ux // 4) and base_j = C +
     i*ux <= ux*uy + _BATCH_MAX*ux.
     """
     ux, uy = dec.u_point
@@ -300,25 +313,31 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     rejection is recorded with its first failing point and coefficients.
 
     A cheaper necessary test, one modulo per pair, runs in front of it.
-    In column x the pair from k*a = (x, y) has cross(a, b) = C/(g1*g2),
+    In column x the pair from k*a = (x, y) has D = cross(a, b) = C/(g1*g2),
     with C = cross(k*a, u_point) > 0, g1 = gcd(x, y) and g2 = gcd(dx, dy)
-    for (dx, dy) = u_point - k*a.  As g1 | x and g2 | dx, C/(g1*g2) | G
-    implies C | N = G*x*dx, which is fixed for the column; a pair with
-    N % C != 0 is one the index test rejects.  Where dx == 0 no such N
-    exists and every pair goes on to the index test.
+    for (dx, dy) = u_point - k*a.  A winning pair generates (0, h2), the
+    second row of the points' Hermite basis ((h1, s), (0, h2)), so its
+    coefficient on b, cross(a, (0, h2))/D = h2*x*g2/C, is an integer; as
+    g2 | dx, C | N = h2*x*dx, fixed for the column, and a pair with
+    N % C != 0 cannot win (as h2 | G, a sharper test than C | G*x*dx).
+    A divisor of N > 0 is at most N, so only the pairs with C <= N are
+    tested (:func:`_cut`); the others still count.  Where dx == 0, N = 0
+    cuts nothing and every pair goes on to the index test.
 
     With pruning on and a pair bound up to MAX_CANDIDATE_PAIRS, the columns
     x < ux after the first _BATCH_MIN_PAIRS pairs run that test as numpy
     arrays.  They are taken in chunks of up to _BATCH_MAX columns; each
-    chunk's column bounds and the prefix sum of its column lengths come
-    from a fixed number of array operations, and the chunk's pairs are cut
-    into blocks of _BATCH_FIRST pairs growing to _BATCH_MAX, whose survivors
-    join the stream in the same order.  Each block is one call of
-    :func:`_survivors`, and :func:`_batch_dtype` picks its arithmetic.
+    chunk's column bounds, cuts and prefix sums of its pairs and of its
+    tested pairs come from a fixed number of array operations.  Its tested
+    pairs are cut into blocks of _BATCH_FIRST pairs growing to _BATCH_MAX,
+    set up by bisecting those prefix sums as Python lists; a survivor joins
+    the stream in the same order, numbered by the prefix sum of all pairs.
+    Each block is one call of :func:`_survivors`, and :func:`_batch_dtype`
+    picks its arithmetic.
     int64 gate: as 0 <= y <= uy, every x*uy, y*ux <= ux*uy and N <=
-    G*ux**2/4; the column bounds' products stay within |vy|*ux + |vx*uy -
-    vy*ux| and cy*ux + |ux*cy - uy*cx|, and a chunk's prefix sum within the
-    pair bound.  With all of these below _BATCH_INT64_BOUND = 2**62 nothing
+    G*ux**2/4, as h2 | G; the column bounds' products stay within |vy|*ux +
+    |vx*uy - vy*ux| and cy*ux + |ux*cy - uy*cx|, the cuts' within x*uy + N
+    and a chunk's prefix sums within the pair bound.  With all of these below _BATCH_INT64_BOUND = 2**62 nothing
     overflows (ux < 2**31 then, so base_j <= ux*uy + _BATCH_MAX*ux < 2**63).
     float64 gate: with N <= G*(ux*ux // 4) and ux*(uy + _BATCH_MAX) also
     below _BATCH_FLOAT_BOUND = 2**53, every N, C, base_j and i*ux is an
@@ -366,7 +385,7 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     # the constant terms of _column_range's v and c lines
     dv, dc = vx * uy - vy * ux, ux * cy - uy * cx
     dtype = _batch_dtype(dec, G) if prune and bound <= MAX_CANDIDATE_PAIRS else None
-    pairs = 0  # the pairs counted so far, after each column, block and sweep step
+    pairs = 0  # the pairs counted so far, after each column, chunk and sweep step
 
     def pair(x: int, y: int, k: int) -> tuple[Vec2, Vec2, int]:
         # the k-th pair, from k*a = (x, y): a = k*a / g1, b = (u_point - k*a) / g2
@@ -396,9 +415,9 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
             hi = min(hi, lo + limit - pairs - 1)
             top = x * uy
             # 0 sends every pair on: under collect_rejections, and where dx == 0
-            N = G * x * (ux - x) if prune else 0
-            # C = cross(k*a, u_point) = x*uy - y*ux for y = lo, ..., hi
-            for C in range(top - lo * ux, top - hi * ux - 1, -ux):
+            N = h2 * x * (ux - x) if prune else 0
+            # C = cross(k*a, u_point) = x*uy - y*ux for y from the cut to hi
+            for C in range(top - _cut(lo, top, N, ux) * ux, top - hi * ux - 1, -ux):
                 if N % C == 0:
                     y = (top - C) // ux
                     yield pair(x, y, pairs + y - lo + 1)
@@ -412,32 +431,37 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
         # the columns x0..ux-1 in dtype, under the bound, so never past the limit
         nonlocal pairs
         size = _BATCH_FIRST
-        iux = np.arange(_BATCH_MAX, dtype=dtype) * ux
+        iux = np.arange(0, dtype=dtype)  # i*ux, built when a block needs more
         for start in range(x0, ux, _BATCH_MAX):
             xs = np.arange(start, min(start + _BATCH_MAX, ux), dtype=np.int64)
             lo, hi = _column_range(dec, xs, np.maximum, np.minimum)
-            counts = np.maximum(hi - lo + 1, 0)
-            ends = np.cumsum(counts)
-            # y - k for the chunk's k-th pair: a column's last, k = ends - 1, has y = hi
-            offsets = hi + 1 - ends
-            N = (G * xs * (ux - xs)).astype(dtype)
-            done, total = 0, int(ends[-1])
+            N, stop = h2 * xs * (ux - xs), hi + 1
+            ends = np.maximum(stop - lo, 0).cumsum()  # every pair, cut or not
+            counts = np.maximum(stop - _cut(lo, xs * uy, N, ux, np.maximum), 0)
+            tested = counts.cumsum()
+            # y - t for the chunk's t-th tested pair: a column's last, t = tested - 1, has y = hi
+            offsets = stop - tested
+            # (x, y) is the chunk's (ends - hi + y)-th pair, counting from 1
+            ks = (ends - hi).tolist()
+            tested, N = tested.tolist(), N.astype(dtype)  # bisected; the kernel's dtype
+            done, total = 0, tested[-1]
             while done < total:
                 cut = min(done + size, total)
-                # the columns whose pieces hold the chunk's pairs done..cut-1,
+                if cut - done > iux.size:
+                    iux = np.arange(0, min(_BATCH_MAX, total) * ux, ux, dtype=dtype)
+                # the columns whose pieces hold the tested pairs done..cut-1,
                 # the first and the last piece trimmed to them
-                j0, j1 = np.searchsorted(ends, (done, cut - 1), side="right")
-                cols = slice(j0, j1 + 1)
-                pieces = counts[cols].copy()
-                pieces[0] -= done - (ends[j0] - counts[j0])
-                pieces[-1] -= ends[j1] - cut
-                for x, y, i in _survivors(
-                    xs[cols], offsets[cols], N[cols], pieces, done, ux, uy, iux
+                j0, j1 = bisect_right(tested, done), bisect_right(tested, cut - 1) + 1
+                pieces = counts[j0:j1].copy()
+                pieces[0] = tested[j0] - done
+                pieces[-1] -= tested[j1 - 1] - cut
+                for x, y, _ in _survivors(
+                    xs[j0:j1], offsets[j0:j1], N[j0:j1], pieces, done, ux, uy, iux
                 ):
-                    yield pair(x, y, pairs + i + 1)
-                pairs += cut - done
+                    yield pair(x, y, pairs + ks[x - start] + y)
                 done = cut
                 size = min(4 * size, _BATCH_MAX)
+            pairs += int(ends[-1])
 
     def sweep():
         # b = v_point - k2*a, primitive, for k2 = 0, 1, ... while in the cone

@@ -3,6 +3,7 @@
 Transposing, permuting rows or columns, appending a zero column and
 duplicating a column all keep the nonnegative integer rank, so they must
 keep solve's verdict; every rank2 certificate must reproduce its matrix.
+So must the other canonization index and the equivalent 3 x 3 instance.
 """
 
 import random
@@ -14,6 +15,7 @@ from nnirank2 import (
     gen_bt,
     gen_near_t,
     gen_product,
+    reduce_to_3x3,
     solve,
     verify_factorization,
 )
@@ -59,3 +61,13 @@ def test_verdict_is_invariant_and_certificates_verify():
         for name, B in variants(A, rng):
             assert checked_verdict(B) == verdict, (name, A)
     assert verdicts[RANK2] >= 200 and verdicts[NOT_RANK2] >= 60
+
+
+def test_verdict_is_the_same_at_either_canonization_index():
+    for A in corpus():
+        assert solve(A, r=2).verdict == solve(A).verdict, A
+
+
+def test_verdict_is_the_same_after_reduction_to_3x3():
+    for A in corpus():
+        assert solve(reduce_to_3x3(A)[0]).verdict == solve(A).verdict, A

@@ -564,6 +564,43 @@ def test_not_rank2_searches_examine_every_pair():
     assert checked == 732
 
 
+def test_every_winner_passes_the_column_test():
+    # a winning pair (a, b) generates the point lattice's (0, h2), so D =
+    # cross(a, b) divides h2*ax; for a triangle point (x, y), x < ux, that
+    # makes C = x*uy - y*ux divide N = h2*x*(ux - x), so the column test and
+    # its cut C <= N never reject a winner
+    from test_pin import pin_corpus
+
+    corpus = [A for A in pin_corpus() if rank_exact(A) == 2] + [gen_bt(t) for t in range(1, 301)]
+    corpus += [gen_near_t(3 + i % 97, seed=[4547, i]) for i in range(100)]
+    corpus += [
+        gen_product(n, n + i % 3, sigma, seed=[4548, i])[2]
+        for i, (n, sigma) in enumerate((n, s) for _ in range(12) for n in (2, 3, 5) for s in (3, 25, 100))
+    ]
+    winners = in_columns = 0
+    for A in corpus:
+        for r in (1, 2):
+            cd = canonical(A, r)
+            dec = decompose(cd)
+            out = search(cd)
+            if out.verdict != RANK2 or solver._pair_bound(dec) > solver.MAX_CANDIDATE_PAIRS:
+                continue
+            h2 = _hermite2(cd.points)[1][1]
+            a, b = out.certificate.pair.a, out.certificate.pair.b
+            assert h2 * a[0] % cross2(a, b) == 0, (A.tolist(), r)
+            winners += 1
+            # the winner's triangle point m*a, with u_point = m*a + n*b; it is
+            # u_point itself when the pair comes from the b sweep
+            (ux, uy), m = dec.u_point, cross2(dec.u_point, b) // cross2(a, b)
+            x, y = m * a[0], m * a[1]
+            lo, hi = solver._column_range(dec, x)
+            assert lo <= y <= hi
+            if x < ux:
+                assert h2 * x * (ux - x) % (x * uy - y * ux) == 0, (A.tolist(), r)
+                in_columns += 1
+    assert winners > 1500 and in_columns > 500
+
+
 
 def test_search_refuses_a_pair_bound_above_the_limit():
     # near_t(10**19) bounds at about 2.5*10**37 pairs; a child process, so a
@@ -798,6 +835,43 @@ def test_float_quotient_test_is_the_modulo_test():
         assert want
         for dtype in (np.float64, np.int64):
             assert kernel_survivors(dtype, xs, offsets, N, pieces, first, ux, uy) == want
+
+
+def test_cut_keeps_every_survivor_of_its_column():
+    # each column's pairs from _cut to hi, run through the kernel, keep
+    # exactly the N % C == 0 pairs of the whole column lo..hi: random N,
+    # multiples of a C of the column, N below every C (the cut empties the
+    # column) and N = 0, which cuts nothing
+    rng = random.Random(21)
+    for _ in range(60):
+        ux, uy, first = rng.randrange(2, 2**12), rng.randrange(1, 2**12), rng.randrange(10**6)
+        columns, want = [], []
+        while len(columns) < 40:
+            x = rng.randrange(1, ux)
+            top = (x * uy - 1) // ux  # the largest y with C > 0
+            if top < 0:
+                continue
+            lo = rng.randrange(top + 1)
+            hi = rng.randrange(lo - 1, min(top, lo + 150) + 1)
+            C = [x * uy - y * ux for y in range(lo, hi + 1)]
+            n = rng.choice((
+                0, rng.randrange(1, 2 * x * uy), rng.randrange(1, 6) * x * (ux - x),
+                rng.choice(C or [1]) * rng.randrange(1, 4), min(C or [1]) - 1,
+            ))
+            columns.append((x, lo, hi, n))
+            want += [(x, y) for y, c in zip(range(lo, hi + 1), C) if n % c == 0]
+        xs, los, his, N = (list(v) for v in zip(*columns))
+        lo, hi, top = (np.array(v, dtype=np.int64) for v in (los, his, [x * uy for x in xs]))
+        cut = solver._cut(lo, top, np.array(N, dtype=np.int64), ux, np.maximum).tolist()
+        assert cut == [solver._cut(l, x * uy, n, ux) for x, l, _, n in columns]
+        assert all(c == l for c, (_, l, _, n) in zip(cut, columns) if n == 0)
+        assert any(n and c > h for c, (_, _, h, n) in zip(cut, columns))  # the cut empties a column
+        pieces = np.maximum(hi + 1 - cut, 0)
+        offsets = hi + 1 - pieces.cumsum() - first
+        assert 0 < pieces.sum() <= solver._BATCH_MAX
+        for dtype in (np.float64, np.int64):
+            got = kernel_survivors(dtype, xs, offsets.tolist(), N, pieces.tolist(), first, ux, uy)
+            assert [(x, y) for x, y, _ in got] == want
 
 
 def record_dtypes(monkeypatch) -> list:
