@@ -171,11 +171,11 @@ def _column_range(dec: ConeDecomposition, x, maximum=max, minimum=min):
 
 
 def _cut(lo, top, N, ux: int, maximum=max):
-    """The first y of a column, from lo up, to test against N: its pairs
-    have C = top - y*ux, and a C > N cannot divide N > 0 (see :func:`search`),
-    so the cut is ⌈(top - N)/ux⌉.  N = 0, which sends every pair on, cuts
-    nothing.  Ints, or int64 arrays with np.maximum as ``maximum``."""
-    return maximum(lo, -((N - (N > 0) * top) // ux))
+    """The first y of a column, from lo up, to test against N > 0: its
+    pairs have C = top - y*ux, and a C > N cannot divide N (see
+    :func:`search`), so the cut is ⌈(top - N)/ux⌉.  Ints, or int64 arrays
+    with np.maximum as ``maximum``."""
+    return maximum(lo, -((N - top) // ux))
 
 
 def triangle_points(dec: ConeDecomposition) -> list[Vec2]:
@@ -414,10 +414,11 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
             over = hi - lo + 1 > limit - pairs  # walk no further than the limit
             hi = min(hi, lo + limit - pairs - 1)
             top = x * uy
-            # 0 sends every pair on: under collect_rejections, and where dx == 0
+            # 0 sends every pair on, uncut: under collect_rejections, and where dx == 0
             N = h2 * x * (ux - x) if prune else 0
+            cut = _cut(lo, top, N, ux) if N else lo
             # C = cross(k*a, u_point) = x*uy - y*ux for y from the cut to hi
-            for C in range(top - _cut(lo, top, N, ux) * ux, top - hi * ux - 1, -ux):
+            for C in range(top - cut * ux, top - hi * ux - 1, -ux):
                 if N % C == 0:
                     y = (top - C) // ux
                     yield pair(x, y, pairs + y - lo + 1)
@@ -431,11 +432,11 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
         # the columns x0..ux-1 in dtype, under the bound, so never past the limit
         nonlocal pairs
         size = _BATCH_FIRST
-        iux = np.arange(0, dtype=dtype)  # i*ux, built when a block needs more
+        iux = np.arange(_BATCH_MAX, dtype=dtype) * ux
         for start in range(x0, ux, _BATCH_MAX):
             xs = np.arange(start, min(start + _BATCH_MAX, ux), dtype=np.int64)
             lo, hi = _column_range(dec, xs, np.maximum, np.minimum)
-            N, stop = h2 * xs * (ux - xs), hi + 1
+            N, stop = h2 * xs * (ux - xs), hi + 1  # N > 0: 0 < x < ux here
             ends = np.maximum(stop - lo, 0).cumsum()  # every pair, cut or not
             counts = np.maximum(stop - _cut(lo, xs * uy, N, ux, np.maximum), 0)
             tested = counts.cumsum()
@@ -447,8 +448,6 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
             done, total = 0, tested[-1]
             while done < total:
                 cut = min(done + size, total)
-                if cut - done > iux.size:
-                    iux = np.arange(0, min(_BATCH_MAX, total) * ux, ux, dtype=dtype)
                 # the columns whose pieces hold the tested pairs done..cut-1,
                 # the first and the last piece trimmed to them
                 j0, j1 = bisect_right(tested, done), bisect_right(tested, cut - 1) + 1
