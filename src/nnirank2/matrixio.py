@@ -23,7 +23,7 @@ class _TooManyDigits(ValueError, argparse.ArgumentTypeError):
     """A ValueError that argparse reports by its message, not as an invalid value."""
 
     def __init__(self, digits: int) -> None:
-        limit = sys.get_int_max_str_digits()
+        self.digits, limit = digits, sys.get_int_max_str_digits()
         super().__init__(f"an integer of {digits} digits is over the limit of {limit} digits")
 
 

@@ -44,21 +44,16 @@ RANK_LE_1 = "rank_le_1"
 MAX_CANDIDATE_PAIRS = 2 * 10**8
 PROBE_PAIRS = 10**6
 # A search walks its first pairs in Python and hands the batch only the
-# columns after this many: entering the batch (a chunk's column bounds, the
-# i*ux array, the first block) costs about 30-40 us, and the pair bound,
-# often 100 times the true count on a product, cannot pick out the short
-# searches up front.  Against 512 pairs, 128 cut the benchmark's
-# triangle_sweep median solve by a further 13% and left product_small's p90
-# as it was; 32 cut triangle_sweep by 3% more but made product_small's p90
-# 5% slower (paired runs, best of 10-15 per instance, 2-vCPU Xeon).
-_BATCH_MIN_PAIRS = 128
-# Pairs per block: the first block is small, so that a winner soon after
-# the Python walk pays little for it; each later one is 4 times larger, up
-# to a cap that keeps each of a block's arrays at 64 KiB, in cache (on
-# bt(10⁴) a float64 block cost 19 ns per pair at 2**16 pairs, and 5-7 at
-# 2**13).  The cap also bounds the columns in each chunk the blocks are cut
-# from, so no array grows with the number of columns.
-_BATCH_FIRST, _BATCH_MAX = 2**10, 2**13
+# columns after this many (the pair bound cannot pick out short searches up
+# front).  Against 128, 32 cut the benchmark's triangle_sweep mean solve by
+# 6% and left product_small's p90 as it was (interleaved best-of, 2-vCPU Xeon).
+_BATCH_MIN_PAIRS = 32
+# Pairs per block, and columns per chunk, so no array grows with the
+# triangle: each of a block's arrays stays at 64 KiB.  numpy allocates a
+# temporary of 128 KiB or more through mmap: at 2**14 and 2**15 a bt(395)
+# solve took 96 and 168 minor page faults, against 0 at 2**13, and the
+# benchmark's triangle_sweep median solve was 21-28% slower (2-vCPU Xeon).
+_BATCH_MAX = 2**13
 # The batch's int64 and float64 gates: see _batch_dtype
 _BATCH_INT64_BOUND, _BATCH_FLOAT_BOUND = 2**62, 2**53
 # verify_factorization's int64 gate on max(F1) * max(F2): see _int64_product
@@ -208,37 +203,32 @@ def _pair_bound(dec: ConeDecomposition) -> int:
     return area + uy + ux - _x_lo(dec) + 1 + max(dec.v_point) + 2
 
 
-def _survivors(xs, offsets, N, pieces, first: int, ux: int, uy: int, iux):
-    """(x, y, i) of each pair, i-th in a block of column pieces, that
-    passes the one-modulo test of :func:`search`.  pieces[j] pairs lie in
-    column xs[j], whose test number is N[j], and the pair with index k,
-    counted from ``first`` for the block's first, has y = k + offsets[j].
-    In search, N[j] = h2*x*(ux - x): a winning pair holds the point
-    lattice's (0, h2), so its C divides N; and as a divisor of N > 0 is at
-    most N, the pieces hold only the pairs with C <= N (:func:`_cut`).
+def _survivors(base, N, pieces, iux) -> list[int]:
+    """The indices i, in a block of column pieces, of the pairs that pass
+    the one-modulo test of :func:`search`.  pieces[j] pairs lie in the
+    block's column j, whose test number is N[j]; the block's i-th pair, if
+    in piece j, has C = base[j] - i*ux, and iux[i] = -i*ux.  In search,
+    N[j] = h2*x*(ux - x): a winning pair holds the point lattice's (0, h2),
+    so its C divides N; and as a divisor of N > 0 is at most N, the pieces
+    hold only the pairs with C <= N (:func:`_cut`).
 
-    The i-th pair of piece j has C = x*uy - y*ux = base_j - i*ux, for
-    base_j = xs[j]*uy - (offsets[j] + first)*ux, and iux[i] = i*ux; so C is
-    one repeat of base, and x and y are recovered only for the survivors.
-    N and iux are float64 or int64 arrays, as :func:`_batch_dtype` gates
-    them.  In int64 a pair survives when N % C == 0.  In float64 it
+    base is int64; N and iux are float64 or int64, as :func:`_batch_dtype`
+    gates them.  In int64 a pair survives when N % C == 0.  In float64 it
     survives when q = N/C is an integer, which is the same test: under the
-    float64 gate N, C, base and i*ux are integers below 2**53, held exactly.
-    If C divides N, q is that integer exactly.  If not, N/C is at least 1/C
-    from every integer, and the division errs by at most (N/C)*2**-53 <
-    1/C, so q is no integer either.
+    float64 gate N, C, base and i*ux are integers below 2**53, held exactly
+    (base[j] = C + i*ux <= ux*uy + _BATCH_MAX*ux for any pair i of piece
+    j).  If C divides N, q is that integer exactly.  If not, N/C is at
+    least 1/C from every integer, and the division errs by at most
+    (N/C)*2**-53 < 1/C, so q is no integer either.
     """
     # array methods, not np.repeat & co.: their dispatch costs 1-3 us a call
-    C = (xs * uy - (offsets + first) * ux).astype(N.dtype).repeat(pieces)
-    C -= iux[:C.size]
+    C = base.astype(N.dtype).repeat(pieces)
+    C += iux[:C.size]
     N = N.repeat(pieces)
     if N.dtype == np.float64:
         q = N / C
-        keep = (np.rint(q) == q).nonzero()[0]
-    else:
-        keep = (N % C == 0).nonzero()[0]
-    j = pieces.cumsum().searchsorted(keep, side="right")
-    return zip(xs[j].tolist(), (keep + first + offsets[j]).tolist(), keep.tolist())
+        return (np.rint(q) == q).nonzero()[0].tolist()
+    return (N % C == 0).nonzero()[0].tolist()
 
 
 def _coefficients(a: Vec2, b: Vec2, points) -> list[Vec2] | int:
@@ -328,17 +318,23 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     x < ux after the first _BATCH_MIN_PAIRS pairs run that test as numpy
     arrays.  They are taken in chunks of up to _BATCH_MAX columns; each
     chunk's column bounds, cuts and prefix sums of its pairs and of its
-    tested pairs come from a fixed number of array operations.  Its tested
-    pairs are cut into blocks of _BATCH_FIRST pairs growing to _BATCH_MAX,
-    set up by bisecting those prefix sums as Python lists; a survivor joins
-    the stream in the same order, numbered by the prefix sum of all pairs.
-    Each block is one call of :func:`_survivors`, and :func:`_batch_dtype`
-    picks its arithmetic.
+    tested pairs come from a fixed number of array operations.  The t-th
+    tested pair lies in the first column j with tested_j > t, at y = t +
+    hi_j + 1 - tested_j, so C = P_j - t*ux for P_j = x_j*uy - (y - t)*ux.
+    Each block of _BATCH_MAX of them is one call of :func:`_survivors`, on
+    base = P[j0:j1] - first*ux for its first pair t = ``first``, in the
+    arithmetic :func:`_batch_dtype` picks.  A survivor's column comes from
+    bisecting the prefix sums as a Python list; it is dropped there if
+    cross(a, b) = C/(g1*g2) does not divide G, else it joins the stream in
+    order, numbered by the prefix sum of all pairs.
     int64 gate: as 0 <= y <= uy, every x*uy, y*ux <= ux*uy and N <=
     G*ux**2/4, as h2 | G; the column bounds' products stay within |vy|*ux +
     |vx*uy - vy*ux| and cy*ux + |ux*cy - uy*cx|, the cuts' within x*uy + N
-    and a chunk's prefix sums within the pair bound.  With all of these below _BATCH_INT64_BOUND = 2**62 nothing
-    overflows (ux < 2**31 then, so base_j <= ux*uy + _BATCH_MAX*ux < 2**63).
+    and a chunk's prefix sums within the pair bound.  With all of these
+    below _BATCH_INT64_BOUND = 2**62 nothing overflows: ux < 2**31 and
+    tested_j <= MAX_CANDIDATE_PAIRS < 2**28, so in a column with tested
+    pairs (0 <= hi_j <= uy; the others are repeated zero times) |P_j| <
+    2**62 + 2**59 and 0 < base_j <= ux*uy + _BATCH_MAX*ux < 2**63.
     float64 gate: with N <= G*(ux*ux // 4) and ux*(uy + _BATCH_MAX) also
     below _BATCH_FLOAT_BOUND = 2**53, every N, C, base_j and i*ux is an
     integer that float64 holds exactly, and the quotient test N/C is exact
@@ -369,10 +365,6 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     limit = MAX_CANDIDATE_PAIRS if bound <= MAX_CANDIDATE_PAIRS else PROBE_PAIRS
     if collect_rejections and limit == PROBE_PAIRS:
         search(cd)  # a probe without a winner refuses here, before any record is kept
-    refusal = (
-        f"the triangle search would examine up to {bound} candidate pairs, above"
-        f" the limit of {MAX_CANDIDATE_PAIRS}, and none of the first {limit} wins"
-    )
     points = cd.points
     (h1, _), (_, h2) = _hermite2(points)
     G = h1 * h2  # the point lattice's index: det of its Hermite basis
@@ -393,12 +385,21 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
         g2 = gcd(dx, dy)
         return (x // g1, y // g1), (dx // g2, dy // g2), k
 
+    def refusal() -> ValueError:
+        from .matrixio import _TooManyDigits, base10_str  # on refusal only: it imports argparse
+        try:
+            count = base10_str(bound)
+        except _TooManyDigits as over:
+            count = f"a {over.digits}-digit number of"
+        return ValueError(f"the triangle search would examine up to {count} candidate pairs, above"
+                          f" the limit of {MAX_CANDIDATE_PAIRS}, and none of the first {limit} wins")
+
     def walk(x: int, handoff: bool):
         # columns x, x + 1, ..., ux in Python ints, at any magnitude, up to the
         # limit; with handoff, the first column x < ux reached after
         # _BATCH_MIN_PAIRS pairs is left to the batch and returned
         nonlocal pairs
-        while x <= ux:
+        for x in range(x, ux + 1):
             if handoff and x < ux and pairs >= _BATCH_MIN_PAIRS:
                 return x
             # _column_range with vx, cx >= 0: the v line caps hi, the c line raises lo
@@ -411,6 +412,8 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
                 if hi != uy:
                     raise RuntimeError("internal error: u_point is not its column's top")
                 hi -= 1
+            elif lo > hi:
+                continue  # an empty column
             over = hi - lo + 1 > limit - pairs  # walk no further than the limit
             hi = min(hi, lo + limit - pairs - 1)
             top = x * uy
@@ -424,42 +427,38 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
                     yield pair(x, y, pairs + y - lo + 1)
             pairs += max(0, hi - lo + 1)
             if over:
-                raise ValueError(refusal)
-            x += 1
-        return x
+                raise refusal()
+        return ux + 1
 
     def batch(x0: int):
         # the columns x0..ux-1 in dtype, under the bound, so never past the limit
         nonlocal pairs
-        size = _BATCH_FIRST
-        iux = np.arange(_BATCH_MAX, dtype=dtype) * ux
+        iux = np.arange(0, -ux * _BATCH_MAX, -ux, dtype=dtype)
         for start in range(x0, ux, _BATCH_MAX):
             xs = np.arange(start, min(start + _BATCH_MAX, ux), dtype=np.int64)
             lo, hi = _column_range(dec, xs, np.maximum, np.minimum)
-            N, stop = h2 * xs * (ux - xs), hi + 1  # N > 0: 0 < x < ux here
+            N, stop, top = h2 * xs * (ux - xs), hi + 1, xs * uy  # N > 0: 0 < x < ux here
             ends = np.maximum(stop - lo, 0).cumsum()  # every pair, cut or not
-            counts = np.maximum(stop - _cut(lo, xs * uy, N, ux, np.maximum), 0)
+            counts = np.maximum(stop - _cut(lo, top, N, ux, np.maximum), 0)
             tested = counts.cumsum()
-            # y - t for the chunk's t-th tested pair: a column's last, t = tested - 1, has y = hi
+            # the chunk's t-th tested pair, in column j, has y = offsets_j + t (hi for t =
+            # tested_j - 1), C = P_j - t*ux, and is its (untested_j + t + 1)-th pair
             offsets = stop - tested
-            # (x, y) is the chunk's (ends - hi + y)-th pair, counting from 1
-            ks = (ends - hi).tolist()
-            tested, N = tested.tolist(), N.astype(dtype)  # bisected; the kernel's dtype
-            done, total = 0, tested[-1]
-            while done < total:
-                cut = min(done + size, total)
-                # the columns whose pieces hold the tested pairs done..cut-1,
-                # the first and the last piece trimmed to them
-                j0, j1 = bisect_right(tested, done), bisect_right(tested, cut - 1) + 1
+            P, untested = top - offsets * ux, (ends - tested).tolist()
+            tested, offsets, N = tested.tolist(), offsets.tolist(), N.astype(dtype)
+            for first in range(0, tested[-1], _BATCH_MAX):
+                last = min(first + _BATCH_MAX, tested[-1])
+                # the columns holding the tested pairs first..last-1, the end pieces trimmed
+                j0, j1 = bisect_right(tested, first), bisect_right(tested, last - 1) + 1
                 pieces = counts[j0:j1].copy()
-                pieces[0] = tested[j0] - done
-                pieces[-1] -= tested[j1 - 1] - cut
-                for x, y, _ in _survivors(
-                    xs[j0:j1], offsets[j0:j1], N[j0:j1], pieces, done, ux, uy, iux
-                ):
-                    yield pair(x, y, pairs + ks[x - start] + y)
-                done = cut
-                size = min(4 * size, _BATCH_MAX)
+                pieces[0] = tested[j0] - first
+                pieces[-1] -= tested[j1 - 1] - last
+                for t in _survivors(P[j0:j1] - first * ux, N[j0:j1], pieces, iux):
+                    t += first
+                    j = bisect_right(tested, t, j0, j1)
+                    x, y = start + j, offsets[j] + t
+                    if G % ((x * uy - y * ux) // (gcd(x, y) * gcd(ux - x, uy - y))) == 0:  # index test
+                        yield pair(x, y, pairs + untested[j] + t + 1)
             pairs += int(ends[-1])
 
     def sweep():
@@ -471,7 +470,7 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
         while in_cone((qx, qy), (1, 0), dec.c):
             pairs += 1
             if pairs > limit:
-                raise ValueError(refusal)
+                raise refusal()
             g = gcd(qx, qy)
             yield a, (qx // g, qy // g), pairs
             k2 += 1

@@ -1,5 +1,7 @@
 import hashlib
 import random
+import sys
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
 
@@ -643,6 +645,29 @@ def test_search_above_the_limit_keeps_an_early_winner():
     assert (out.verdict, out.pairs_examined) == (RANK2, 120)
 
 
+def test_a_pair_bound_over_the_digit_limit_is_named_only_on_refusal(monkeypatch):
+    # the same product with entries above 10**4400: its pair bound of 4,401
+    # digits is over the interpreter's limit for str(int), yet the winner at
+    # pair 120 still answers, and a refusal names the bound by its digit count
+    rows = [[10**4400 + j for j in range(120)], [j + 1 for j in range(120)]]
+    rows.append([x + y for x, y in zip(*rows)])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        out = solve(rows)
+        assert (out.verdict, out.pairs_examined) == (RANK2, 120)
+        assert verify_factorization(rows, out.certificate.F1, out.certificate.F2)
+        monkeypatch.setattr(solver, "PROBE_PAIRS", 100)
+        with pytest.raises(ValueError) as refused:
+            solve(rows)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(refused.value) == (
+        "the triangle search would examine up to a 4401-digit number of candidate"
+        " pairs, above the limit of 200000000, and none of the first 100 wins"
+    )
+
+
 def thin_product():
     """A 3 x 3 rank2 product whose triangle is thin: 394,604 columns hold
     4,193,538 pairs, and its columns alone would bound it at 10**11."""
@@ -692,56 +717,81 @@ def search_record(cd):
     return out.verdict, out.pairs_examined, cert and (cert.pair, cert.F1.tolist(), cert.F2.tolist())
 
 
-def test_int64_batch_matches_the_python_walk(monkeypatch):
-    # the size cut at 0 sends every search to the int64 batch, above every
-    # bound to the Python walk: verdicts, pairs_examined and certificates agree
+def walk_batch_corpus():
+    """The canonical diagrams, at both indices, that the batch and the
+    Python walk are compared on."""
     corpus = [gen_bt(t) for t in range(1, 301)] + [gen_bt(2000), thin_product()]
     corpus += [gen_near_t(3 + 3 * i, seed=[77, i]) for i in range(100)]
     for i, (n, sigma) in enumerate((n, s) for n in (2, 3, 5, 10) for s in (3, 10, 25)):
         A = gen_product(n, n + i % 3, sigma, seed=[78, i])[2]
         corpus += [A, 3 * A]
+    return [canonical(A, r) for A in corpus for r in (1, 2)]
+
+
+def test_int64_batch_matches_the_python_walk(monkeypatch):
+    # the size cut at 0 sends every search to the int64 batch, above every
+    # bound to the Python walk: verdicts, pairs_examined and certificates agree
     blocks = count_blocks(monkeypatch)
     first = later = 0  # rank2 wins in the batch's first block, and past it
-    for A in corpus:
-        for r in (1, 2):
-            cd = canonical(A, r)
-            monkeypatch.setattr(solver, "_BATCH_MIN_PAIRS", 0)
-            batch = search_record(cd)
-            monkeypatch.setattr(solver, "_BATCH_MIN_PAIRS", solver.MAX_CANDIDATE_PAIRS + 1)
-            n_blocks = len(blocks)
-            assert search_record(cd) == batch, (A.tolist(), r)
-            assert len(blocks) == n_blocks
-            dec = decompose(cd)
-            ranges = (solver._column_range(dec, x) for x in range(solver._x_lo(dec), dec.u_point[0]))
-            batched = sum(max(0, hi - lo + 1) for lo, hi in ranges)
-            if batch[0] == RANK2 and batch[1] <= batched:
-                first += batch[1] <= solver._BATCH_FIRST
-                later += batch[1] > solver._BATCH_FIRST
+    for cd in walk_batch_corpus():
+        monkeypatch.setattr(solver, "_BATCH_MIN_PAIRS", 0)
+        batch = search_record(cd)
+        monkeypatch.setattr(solver, "_BATCH_MIN_PAIRS", solver.MAX_CANDIDATE_PAIRS + 1)
+        n_blocks = len(blocks)
+        assert search_record(cd) == batch, cd.points
+        assert len(blocks) == n_blocks
+        dec = decompose(cd)
+        ranges = (solver._column_range(dec, x) for x in range(solver._x_lo(dec), dec.u_point[0]))
+        batched = sum(max(0, hi - lo + 1) for lo, hi in ranges)
+        if batch[0] == RANK2 and batch[1] <= batched:
+            first += batch[1] <= solver._BATCH_MAX
+            later += batch[1] > solver._BATCH_MAX
     assert first and later and blocks
+
+
+def test_batch_index_test_drops_what_the_full_check_would(monkeypatch):
+    # the batch drops a survivor whose cross(a, b) does not divide G before
+    # building its pair; with the walk's own index test at the consumer, each
+    # search makes the same full checks, batched or walked
+    calls = count_full_checks(monkeypatch)
+    blocks = count_blocks(monkeypatch)
+    for cd in walk_batch_corpus():
+        checks = []
+        for handoff in (0, solver.MAX_CANDIDATE_PAIRS + 1):
+            monkeypatch.setattr(solver, "_BATCH_MIN_PAIRS", handoff)
+            calls.clear()
+            search(cd)
+            checks.append(list(calls))
+        assert checks[0] == checks[1], cd.points
+    assert blocks
 
 
 def test_int64_batch_arrays_stay_within_the_block_cap(monkeypatch):
     # the batch takes the thin product's columns in chunks and their pairs in
-    # blocks, none longer than _BATCH_MAX, and never one array over all columns
-    chunks, blocks = [], []
+    # blocks of _BATCH_MAX, but for each chunk's last, and never one array
+    # over all columns
+    chunks, blocks = [], []  # blocks: the pairs of each block, by chunk
     column_range, survivors = solver._column_range, solver._survivors
 
     def ranged(dec, x, *args):
         if isinstance(x, np.ndarray):
             chunks.append(x.size)
+            blocks.append([])
         return column_range(dec, x, *args)
 
-    def counted(xs, offsets, N, pieces, *args):
-        assert xs.size == offsets.size == N.size == pieces.size
-        blocks.append(int(pieces.sum()))
-        return survivors(xs, offsets, N, pieces, *args)
+    def counted(base, N, pieces, iux):
+        assert base.size == N.size == pieces.size and iux.size == solver._BATCH_MAX
+        blocks[-1].append(int(pieces.sum()))
+        return survivors(base, N, pieces, iux)
 
     monkeypatch.setattr(solver, "_column_range", ranged)
     monkeypatch.setattr(solver, "_survivors", counted)
     assert solve(thin_product()).pairs_examined == 1460835
     assert len(chunks) > 1 and max(chunks) == solver._BATCH_MAX
-    assert blocks[0] == solver._BATCH_FIRST and max(blocks) == solver._BATCH_MAX
-    assert min(blocks) > 0
+    assert max(map(len, blocks)) > 1
+    for chunk in blocks:
+        assert chunk[:-1] == [solver._BATCH_MAX] * (len(chunk) - 1)
+    assert min(map(min, filter(None, blocks))) > 0
 
 
 def test_int64_gate_sends_a_search_to_the_python_walk(monkeypatch):
@@ -784,11 +834,19 @@ def python_survivors(xs, offsets, N, pieces, first, ux, uy):
 
 
 def kernel_survivors(dtype, xs, offsets, N, pieces, first, ux, uy):
-    """_survivors on the block, its N and i*ux arrays in dtype."""
-    iux = (np.arange(solver._BATCH_MAX, dtype=np.int64) * ux).astype(dtype)
-    block = [np.array(v, dtype=np.int64) for v in (xs, offsets, N, pieces)]
-    block[2] = block[2].astype(dtype)
-    return list(solver._survivors(*block, first, ux, uy, iux))
+    """(x, y, i) of _survivors on the block, its N and i*ux arrays in dtype:
+    its bases built as search's batch builds them, P - first*ux for P =
+    x*uy - offsets*ux, and each index i mapped back to its column."""
+    xs, offsets, pieces = (np.array(v, dtype=np.int64) for v in (xs, offsets, pieces))
+    base = xs * uy - offsets * ux - first * ux
+    iux = np.arange(0, -ux * solver._BATCH_MAX, -ux, dtype=dtype)
+    keep = solver._survivors(base, np.array(N, dtype=np.int64).astype(dtype), pieces, iux)
+    ends = pieces.cumsum().tolist()
+    out = []
+    for i in keep:
+        j = bisect_right(ends, i)
+        out.append((int(xs[j]), i + first + int(offsets[j]), i))
+    return out
 
 
 def test_float_quotient_test_is_the_modulo_test():
@@ -879,9 +937,9 @@ def record_dtypes(monkeypatch) -> list:
     dtypes = []
     survivors = solver._survivors
 
-    def recorded(xs, offsets, N, *args):
+    def recorded(base, N, *args):
         dtypes.append(N.dtype)
-        return survivors(xs, offsets, N, *args)
+        return survivors(base, N, *args)
 
     monkeypatch.setattr(solver, "_survivors", recorded)
     return dtypes
