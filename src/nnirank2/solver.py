@@ -20,7 +20,7 @@ from math import gcd
 import numpy as np
 
 from . import linalg
-from .diagram import CanonicalDiagram, build_diagram, canonicalize, in_cone
+from .diagram import CanonicalDiagram, build_diagram, canonicalize
 from .linalg import (
     Vec2,
     _extremes,
@@ -111,19 +111,19 @@ def decompose(cd: CanonicalDiagram) -> ConeDecomposition:
     Ties between parallel points are broken toward the smaller Euclidean
     norm, then lexicographically, so the result is deterministic.  Raises
     ValueError when fewer than two non-parallel nonzero points exist (the
-    matrix then has rank < 2).
+    matrix then has rank < 2), and RuntimeError when vx or cx is below 0.
     """
     pts = [p for p in cd.points if p != (0, 0)]
     if not pts:
         raise ValueError("no nonzero points: matrix has rank 0")
     u_pt, v_pt = _extremes(pts)
-    u = primitive_point(u_pt)
-    v = primitive_point(v_pt)
+    u, v = primitive_point(u_pt), primitive_point(v_pt)
     if u[0] * v[1] - u[1] * v[0] == 0:
         raise ValueError("all points are parallel: matrix has rank 1")
-    return ConeDecomposition(
-        u=u, v=v, c=cd.cone_gens[1], u_point=u_pt, v_point=v_pt
-    )
+    c = cd.cone_gens[1]
+    if v[0] < 0 or c[0] < 0:
+        raise RuntimeError("internal error: v or c leaves the canonical quadrant")
+    return ConeDecomposition(u=u, v=v, c=c, u_point=u_pt, v_point=v_pt)
 
 
 def _x_lo(dec: ConeDecomposition) -> int:
@@ -131,11 +131,11 @@ def _x_lo(dec: ConeDecomposition) -> int:
     abscissa, rounded up, and at least 1 (x = 0 holds only the origin).
 
     The vertices are u_point and the x-axis hits of the rays u_point − t·v
-    and u_point − t·c; vx, cx >= 0 keep both hits at or left of ux.
+    and u_point − t·c; as cross(v, c), vx >= 0, the first is leftmost, <= ux.
     """
     ux, uy = dec.u_point
-    (vx, vy), (cx, cy) = dec.v, dec.c
-    return max(1, min(ux, -(-(ux * vy - uy * vx) // vy), -(-(ux * cy - uy * cx) // cy)))
+    vx, vy = dec.v
+    return max(1, ux - uy * vx // vy)
 
 
 def _column_range(dec: ConeDecomposition, x, maximum=max, minimum=min):
@@ -150,18 +150,17 @@ def _column_range(dec: ConeDecomposition, x, maximum=max, minimum=min):
         cross(v, u_point - p) >= 0  cross(u_point - p, c)   >= 0
 
     give the y-range in integers; the first two give 0 <= y <= uy*x/ux.
+    As vx, cx >= 0 (:func:`decompose`), the third caps y at uy - vy*(ux -
+    x)/vx and the fourth raises it to uy - cy*(ux - x)/cx; where vx or cx
+    is 0, that condition holds on every column from _x_lo to ux.
     """
     ux, uy = dec.u_point
     (vx, vy), (cx, cy) = dec.v, dec.c
     lo, hi = 0, uy * x // ux
-    # the last two conditions as alpha*x + beta*y + delta >= 0; where
-    # beta == 0 they hold on every column from _x_lo to ux
-    for al, be, de in ((vy, -vx, vx * uy - vy * ux), (-cy, cx, ux * cy - uy * cx)):
-        s = al * x + de
-        if be > 0:
-            lo = maximum(lo, -(s // be))
-        elif be < 0:
-            hi = minimum(hi, s // -be)
+    if vx:
+        hi = minimum(hi, uy + vy * (x - ux) // vx)
+    if cx:
+        lo = maximum(lo, uy - cy * (ux - x) // cx)
     return lo, hi
 
 
@@ -176,11 +175,8 @@ def _cut(lo, top, N, ux: int, maximum=max):
 def triangle_points(dec: ConeDecomposition) -> list[Vec2]:
     """Lattice points of the triangle K₋ ∩ (u_point − K₊), lexicographic:
     its columns x = :func:`_x_lo`..ux, each from :func:`_column_range`."""
-    points: list[Vec2] = []
-    for x in range(_x_lo(dec), dec.u_point[0] + 1):
-        lo, hi = _column_range(dec, x)
-        points += ((x, y) for y in range(lo, hi + 1))
-    return points
+    return [(x, y) for x in range(_x_lo(dec), dec.u_point[0] + 1)
+            for lo, hi in [_column_range(dec, x)] for y in range(lo, hi + 1)]
 
 
 def _pair_bound(dec: ConeDecomposition) -> int:
@@ -273,10 +269,8 @@ def _batch_dtype(dec: ConeDecomposition, G: int):
     i*ux <= ux*uy + _BATCH_MAX*ux.
     """
     ux, uy = dec.u_point
-    (vx, vy), (cx, cy) = dec.v, dec.c
-    if max(
-        G * ux * ux, uy * ux, abs(vy) * ux + abs(vx * uy - vy * ux), cy * ux + abs(ux * cy - uy * cx)
-    ) >= _BATCH_INT64_BOUND:
+    vy, cy = dec.v[1], dec.c[1]
+    if max(G * ux, uy, vy, cy) * ux >= _BATCH_INT64_BOUND:
         return None
     if max(G * (ux * ux // 4), ux * (uy + _BATCH_MAX)) < _BATCH_FLOAT_BOUND:
         return np.float64
@@ -328,10 +322,10 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     cross(a, b) = C/(g1*g2) does not divide G, else it joins the stream in
     order, numbered by the prefix sum of all pairs.
     int64 gate: as 0 <= y <= uy, every x*uy, y*ux <= ux*uy and N <=
-    G*ux**2/4, as h2 | G; the column bounds' products stay within |vy|*ux +
-    |vx*uy - vy*ux| and cy*ux + |ux*cy - uy*cx|, the cuts' within x*uy + N
-    and a chunk's prefix sums within the pair bound.  With all of these
-    below _BATCH_INT64_BOUND = 2**62 nothing overflows: ux < 2**31 and
+    G*ux**2/4, as h2 | G; the column bounds' within uy, vy*ux and cy*ux
+    (vy, cy >= 0 in the cone), the cuts' within x*uy + N and a chunk's
+    prefix sums within the pair bound.  With all of these below
+    _BATCH_INT64_BOUND = 2**62 nothing overflows: ux < 2**31 and
     tested_j <= MAX_CANDIDATE_PAIRS < 2**28, so in a column with tested
     pairs (0 <= hi_j <= uy; the others are repeated zero times) |P_j| <
     2**62 + 2**59 and 0 < base_j <= ux*uy + _BATCH_MAX*ux < 2**63.
@@ -343,9 +337,15 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     column and the b sweep, the Python walk runs, at any magnitude.  Either
     way ``pairs_examined`` and every record are the same.
 
-    The walk takes _column_range's conditions with the constants of its
-    v and c lines computed once: in a canonical diagram vx, cx >= 0, so the
-    v line only caps a column's top and the c line only raises its bottom.
+    The walk takes the columns from _x_lo up, each from :func:`_column_range`;
+    with a batch dtype, the first x < ux it reaches after _BATCH_MIN_PAIRS
+    pairs hands x..ux-1 to the batch, and it goes on at ux.  The sweep's
+    v_point - k'*a stays in the cone while k'*ay <= py and k'*cross(a, c) <=
+    cross(v_point, c); as a = u is in the cone, neither factor is negative
+    and one is positive, so the sweep has S = 1 + min(⌊py/ay⌋,
+    ⌊cross(v_point, c)/cross(a, c)⌋) steps, over the positive denominators.
+    S <= 1 + max(v_point), as _pair_bound counts: if ay >= 1, k' <= py; else
+    a = (1, 0) and k' <= px - py*cx/cy <= px.
 
     When :func:`_pair_bound` exceeds MAX_CANDIDATE_PAIRS but the bound at
     the other canonization index, that of ``canonicalize(cd, 2)``, is within
@@ -353,8 +353,10 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     the other index's canonical diagram, so the verdict, ``pairs_examined``,
     every record and the certificate are the other index's.  When both
     bounds exceed it, it raises ValueError once PROBE_PAIRS pairs go by
-    without a winner; under ``collect_rejections`` a pruned probe runs
-    first, so a refusal costs no record of each rejected pair.
+    without a winner, or once the walk passes PROBE_PAIRS + 1 columns, which
+    may hold none (a full search has ux - _x_lo + 1 <= bound columns); under
+    ``collect_rejections`` a pruned probe runs first, so a refusal costs no
+    record of each rejected pair.
     """
     dec = decompose(cd)
     bound = _pair_bound(dec)
@@ -371,11 +373,6 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     rejections: list[PairRejection] | None = [] if collect_rejections else None
     prune = rejections is None
     ux, uy = dec.u_point
-    (vx, vy), (cx, cy) = dec.v, dec.c
-    if vx < 0 or cx < 0:
-        raise RuntimeError("internal error: v or c leaves the canonical quadrant")
-    # the constant terms of _column_range's v and c lines
-    dv, dc = vx * uy - vy * ux, ux * cy - uy * cx
     dtype = _batch_dtype(dec, G) if prune and bound <= MAX_CANDIDATE_PAIRS else None
     pairs = 0  # the pairs counted so far, after each column, chunk and sweep step
 
@@ -385,28 +382,28 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
         g2 = gcd(dx, dy)
         return (x // g1, y // g1), (dx // g2, dy // g2), k
 
-    def refusal() -> ValueError:
+    def refusal(pairs_in: str = "") -> ValueError:
         from .matrixio import _TooManyDigits, base10_str  # on refusal only: it imports argparse
         try:
             count = base10_str(bound)
         except _TooManyDigits as over:
             count = f"a {over.digits}-digit number of"
         return ValueError(f"the triangle search would examine up to {count} candidate pairs, above"
-                          f" the limit of {MAX_CANDIDATE_PAIRS}, and none of the first {limit} wins")
+                          f" the limit of {MAX_CANDIDATE_PAIRS}, and none of the {pairs_in or f'first {limit}'} wins")
 
-    def walk(x: int, handoff: bool):
-        # columns x, x + 1, ..., ux in Python ints, at any magnitude, up to the
-        # limit; with handoff, the first column x < ux reached after
-        # _BATCH_MIN_PAIRS pairs is left to the batch and returned
+    def walk(x0: int):
+        # columns x0, x0 + 1, ..., ux in Python ints, at any magnitude, up to the
+        # limit; with a batch dtype, the first column x < ux reached after
+        # _BATCH_MIN_PAIRS pairs hands the columns x..ux-1 to the batch
         nonlocal pairs
-        for x in range(x, ux + 1):
-            if handoff and x < ux and pairs >= _BATCH_MIN_PAIRS:
-                return x
-            # _column_range with vx, cx >= 0: the v line caps hi, the c line raises lo
-            hi = uy * x // ux
-            if vx:
-                hi = min(hi, (vy * x + dv) // vx)
-            lo = max(0, -((dc - cy * x) // cx)) if cx else 0
+        for x in range(x0, ux + 1):
+            if x - x0 > limit:  # only in a probe: a full search has ux - _x_lo < bound
+                raise refusal(f"{pairs} pairs in its first {limit + 1} columns")
+            if dtype is not None and x < ux and pairs >= _BATCH_MIN_PAIRS:
+                yield from batch(x)
+                yield from walk(ux)
+                return
+            lo, hi = _column_range(dec, x)
             if x == ux:
                 # u_point tops its column; its pairs come from the b sweep
                 if hi != uy:
@@ -428,7 +425,6 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
             pairs += max(0, hi - lo + 1)
             if over:
                 raise refusal()
-        return ux + 1
 
     def batch(x0: int):
         # the columns x0..ux-1 in dtype, under the bound, so never past the limit
@@ -462,32 +458,21 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
             pairs += int(ends[-1])
 
     def sweep():
-        # b = v_point - k2*a, primitive, for k2 = 0, 1, ... while in the cone
+        # b = v_point - k2*a, primitive, for k2 = 0, 1, ..., S - 1, the steps in the cone
         nonlocal pairs
-        a = dec.u
-        px, py = dec.v_point
-        k2, qx, qy = 0, px, py
-        while in_cone((qx, qy), (1, 0), dec.c):
+        (ax, ay), (px, py), (cx, cy) = dec.u, dec.v_point, dec.c
+        S = 1 + min(n // d for n, d in ((py, ay), (px * cy - py * cx, ax * cy - ay * cx)) if d > 0)
+        if S > 1 + max(px, py):  # the sweep's share of _pair_bound
+            raise RuntimeError("internal error: the b sweep overran its bound")
+        for k2 in range(S):
             pairs += 1
             if pairs > limit:
                 raise refusal()
+            qx, qy = px - k2 * ax, py - k2 * ay
             g = gcd(qx, qy)
-            yield a, (qx // g, qy // g), pairs
-            k2 += 1
-            qx, qy = px - k2 * a[0], py - k2 * a[1]
-        # the sweep leaves the cone after at most max(v_point) + 1 steps
-        if k2 > 1 + max(px, py):
-            raise RuntimeError("internal error: the b sweep overran its bound")
+            yield dec.u, (qx // g, qy // g), pairs
 
-    def stream():
-        # the walked prefix, the batch, u_point's column, then the b sweep
-        x = yield from walk(_x_lo(dec), dtype is not None)
-        if x < ux:
-            yield from batch(x)
-            yield from walk(ux, False)
-        yield from sweep()
-
-    for a, b, k in stream():
+    for a, b, k in chain(walk(_x_lo(dec)), sweep()):
         if prune and G % (a[0] * b[1] - a[1] * b[0]):
             continue  # the index test: cross(a, b) does not divide G
         W = _coefficients(a, b, points)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import SUBMATRIX_4COL, run_python
-from nnirank2.diagram import Diagram, build_diagram, canonicalize, in_cone
+from nnirank2.diagram import CanonicalDiagram, Diagram, build_diagram, canonicalize, in_cone
 from nnirank2 import linalg, solver
 from nnirank2.instances import gen_bt, gen_near_t, gen_product
 from nnirank2.linalg import _hermite2, as_int_matrix, cross2, primitive_point, rank_exact
@@ -44,6 +44,18 @@ def test_decompose_quadrant():
     dec = decompose(canonical([[1, 0], [0, 1]]))
     assert {dec.u_point, dec.v_point} == {(1, 0), (0, 1)}
     assert cross2(dec.u, dec.v) > 0
+
+
+def test_decompose_refuses_a_cone_outside_the_canonical_quadrant():
+    # c = (-1, 1) has cx < 0, which canonicalize never gives: the column
+    # ranges of the search would be wrong, so decompose and search refuse
+    cd = CanonicalDiagram(
+        basis=np.array([[1, 0], [0, 1]], dtype=object), points=((1, 0), (0, 1)),
+        cone_gens=((1, 0), (-1, 1)), transform=np.array([[1, 0], [0, 1]], dtype=object), canon_index=1,
+    )
+    for call in (decompose, search):
+        with pytest.raises(RuntimeError, match="^internal error: v or c leaves the canonical quadrant$"):
+            call(cd)
 
 
 def test_decompose_bt():
@@ -623,6 +635,30 @@ def test_search_refuses_a_pair_bound_above_the_limit():
     # the largest bt and near_t the paper's grids reach stay below the limit
     for A in (gen_bt(10**4), gen_near_t(10**4, seed=0)):
         assert solver._pair_bound(decompose(canonical(A))) <= solver.MAX_CANDIDATE_PAIRS
+
+
+def test_probe_refuses_past_its_columns():
+    # a 3 x 3 product with 30-digit entries: its first columns from _x_lo
+    # hold no pair, so a probe that counted only pairs would walk them
+    # without end; it refuses once it passes PROBE_PAIRS + 1 columns
+    code = (
+        "import random\n"
+        "from nnirank2 import solve, solver\n"
+        "rng = random.Random(1)\n"
+        "F1 = [[rng.randrange(10**30) for _ in range(2)] for _ in range(3)]\n"
+        "F2 = [[rng.randrange(1, 1000) for _ in range(3)] for _ in range(2)]\n"
+        "solver.PROBE_PAIRS = 10**4\n"
+        "try:\n"
+        "    solve([[a * x + b * y for x, y in zip(*F2)] for a, b in F1])\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.stdout == (
+        "the triangle search would examine up to 513176948008215309208630196373221"
+        " candidate pairs, above the limit of 200000000, and none of the 0 pairs"
+        " in its first 10001 columns wins\n"
+    )
 
 
 def test_collecting_probe_refuses_before_keeping_a_record(monkeypatch):
