@@ -11,12 +11,14 @@ normalizes the cone so that one extreme ray is (1, 0) and the other is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .linalg import (
     Vec2,
     _column_frame,
+    _entry,
     _extremes,
     _hermite2,
     _int64_matrix,
@@ -104,47 +106,77 @@ def point_coordinates(A, basis) -> list[Vec2]:
     return pts
 
 
-def cone_from_constraint_rows(rows) -> tuple[Vec2, Vec2] | None:
-    """Extreme rays of {p in R^2 : r . p >= 0 for every row r}.
+def _cone_rays(rows: Sequence[Vec2], lo: Vec2, hi: Vec2) -> list[tuple[int, Vec2]] | None:
+    """Extreme rays of {p in R^2 : r . p >= 0 for every row r}, from its
+    angularly lowest and highest nonzero rows lo and hi.
 
-    Zero rows are ignored.  The rays are the normals of the angularly
-    lowest and highest rows, each turned toward the other row.  Returns
-    them as primitive directions, or None unless both satisfy every row
-    and differ: exactly when the rows cut out a pointed two-dimensional
+    The rays are the normals of lo and hi, each turned toward the other
+    row, as primitive directions.  One pass checks every row against both
+    and pairs each ray with the smallest index of a nonzero row whose form
+    vanishes on it (lo's and hi's rows do).  None unless both satisfy every
+    row and differ: exactly when the rows cut out a pointed two-dimensional
     cone, or are all parallel (the rays are then the two directions of
     their normal line).
     """
-    rs = [(int(r[0]), int(r[1])) for r in rows]
+    d1, d2 = primitive_point((-lo[1], lo[0])), primitive_point((hi[1], -hi[0]))
+    if d1 == d2:
+        return None
+    (x1, y1), (x2, y2) = d1, d2
+    k1 = k2 = None
+    for i, (r0, r1) in enumerate(rows):
+        s1, s2 = r0 * x1 + r1 * y1, r0 * x2 + r1 * y2
+        if s1 < 0 or s2 < 0:
+            return None
+        if r0 or r1:
+            if k1 is None and not s1:
+                k1 = i
+            if k2 is None and not s2:
+                k2 = i
+    return [(k1, d1), (k2, d2)]
+
+
+def cone_from_constraint_rows(rows) -> tuple[Vec2, Vec2] | None:
+    """Extreme rays of {p in R^2 : r . p >= 0 for every row r}, as
+    :func:`_cone_rays` gives them, or None when it does.
+
+    Zero rows are ignored.  Entries are read under the entry contract of
+    ``linalg._entry``: floats and bools raise ValueError.  The rows may lie
+    anywhere, so their extremes come from the sorted scan of
+    ``linalg._extremes``; the check then decides whether they are the cone's.
+    """
+    rs = [(_entry(r[0]), _entry(r[1])) for r in rows]
     rs = [r for r in rs if r != (0, 0)]
     if not rs:
         return None
-    (l0, l1), (h0, h1) = _extremes(rs)
-    d1, d2 = primitive_point((-l1, l0)), primitive_point((h1, -h0))
-    if d1 == d2 or not all(
-        r0 * d1[0] + r1 * d1[1] >= 0 and r0 * d2[0] + r1 * d2[1] >= 0 for r0, r1 in rs
-    ):
-        return None
-    return d1, d2
+    tagged = _cone_rays(rs, *_extremes(rs))
+    return None if tagged is None else (tagged[0][1], tagged[1][1])
 
 
 def _plane_cone(brows: list[Vec2]) -> tuple[tuple[Vec2, int], tuple[Vec2, int]]:
     """Extreme rays of {p : B p >= 0} with their vanishing rows.
 
-    B is given by its rows.  Each ray is paired with the smallest index of
-    a nonzero row whose form vanishes on it; the two pairs are returned
-    sorted by that index.  Any basis of the column space gives the same
-    vanishing rows.
+    B is given by its rows, those of a column-lattice basis of a
+    nonnegative matrix.  Each ray is paired with the smallest index of a
+    nonzero row whose form vanishes on it (:func:`_cone_rays`); the two
+    pairs are returned sorted by that index.  Any basis of the column space
+    gives the same vanishing rows.
+
+    The nonzero rows lie in an open half-plane (each is positive on the sum
+    of the columns' points), where cross2 orders them angularly, so one
+    plain scan finds the extreme rows; which of several parallel rows it
+    keeps does not change their normals.  Zero rows never replace one.
     """
-    rows = [(i, r) for i, r in enumerate(brows) if r != (0, 0)]
-    rays = cone_from_constraint_rows([r for _, r in rows])
-    if rays is None:
+    lo = hi = next((r for r in brows if r != (0, 0)), (0, 0))
+    for p in brows:
+        if p[0] * lo[1] - p[1] * lo[0] > 0:
+            lo = p
+        elif p[0] * hi[1] - p[1] * hi[0] < 0:
+            hi = p
+    tagged = None if lo == (0, 0) else _cone_rays(brows, lo, hi)
+    if tagged is None:
         raise ValueError("column cone is not pointed and two-dimensional")
-
-    def vanishing_row(d: Vec2) -> int:
-        return min(i for i, (r0, r1) in rows if r0 * d[0] + r1 * d[1] == 0)
-
-    tagged = sorted(((vanishing_row(d), d) for d in rays))
-    return ((tagged[0][1], tagged[0][0]), (tagged[1][1], tagged[1][0]))
+    (k1, d1), (k2, d2) = sorted(tagged)
+    return (d1, k1), (d2, k2)
 
 
 def _nonnegative_rows(A) -> tuple[list[list[int]], np.ndarray | None]:
@@ -216,10 +248,11 @@ def canonicalize(d: Diagram, r: int = 1) -> CanonicalDiagram:
         raise RuntimeError("internal error: cone transform is not in normal form")
     (t00, t01), (t10, t11) = T
     det = t00 * t11 - t01 * t10  # +-1, as T sends the primitive g to (1, 0)
-    inv_t = ((det * t11, -det * t10), (-det * t01, det * t00))  # (T^-1)^T = det * adj(T)^T
+    # rows go through (T^-1)^T = det * adj(T)^T, points through T
+    e00, e01, e10, e11 = det * t11, -det * t10, -det * t01, det * t00
     return CanonicalDiagram(
-        basis=np.array([_apply(inv_t, row) for row in d.basis.tolist()], dtype=object),
-        points=tuple(_apply(T, p) for p in d.points),
+        basis=np.array([(e00 * x + e01 * y, e10 * x + e11 * y) for x, y in d.basis.tolist()], dtype=object),
+        points=tuple([(t00 * x + t01 * y, t10 * x + t11 * y) for x, y in d.points]),
         cone_gens=((1, 0), new_other),
         transform=np.array(T, dtype=object),
         canon_index=r,

@@ -8,8 +8,10 @@ anywhere in this module.  Each public function validates its matrix once
 The private rank-2 lattice kernel (``_pivot`` to ``_lagrange_gauss``) works
 on tuples of Python ints, except that its one span check runs as numpy
 int64 arithmetic on matrices whose entries are small enough to keep it
-exact.  The Smith form is the reference the kernel is tested against and
-runs on no solve or reduce path.
+exact.  A rank-2 lattice is reduced on its 2 x 2 Gram matrix alone: the
+Lagrange-Gauss reduction of a binary quadratic form, with O(1) integer
+steps on coefficient pairs.  The Smith form is the reference the kernel is
+tested against and runs on no solve or reduce path.
 """
 
 from __future__ import annotations
@@ -438,7 +440,9 @@ def _hermite2(vectors) -> tuple[Vec2, Vec2]:
     integer 2-vectors generate; equal lattices give equal forms.
 
     One extended-gcd step per vector folds it into the first row; the rest
-    has first coordinate 0 and folds into c.  ValueError unless rank 2.
+    has first coordinate 0 and folds into c.  Once |a| = c = 1 the lattice
+    is Z^2, which no later vector changes, so the form is returned then.
+    ValueError unless rank 2.
     """
     a = b = c = 0
     for x, y in vectors:
@@ -450,6 +454,8 @@ def _hermite2(vectors) -> tuple[Vec2, Vec2]:
                 a, b, y = x, y, 0
         c = math.gcd(c, y)
         if c:
+            if c == 1 and a in (1, -1):
+                return (1, 0), (0, 1)
             b %= c
     if a == 0 or c == 0:
         raise ValueError("vectors do not span the plane")
@@ -500,7 +506,7 @@ def _column_frame(
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def _sign_normalized(v: tuple[int, ...]) -> tuple[int, ...]:
@@ -510,23 +516,34 @@ def _sign_normalized(v: tuple[int, ...]) -> tuple[int, ...]:
 def _lagrange_gauss(b1: tuple[int, ...], b2: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical reduced basis of the lattice of two independent vectors.
 
-    After Lagrange-Gauss reduction (||b1|| <= ||b2|| <= ||b2 +- b1||), the
-    shortest vectors of the lattice are among +-b1, +-b2, +-(b2 -+ b1),
-    and so are the shortest ones independent of them.  Sign-normalizing
-    these four and taking the two smallest by (squared norm, tuple) gives
-    a basis that depends on the lattice only, not on the starting basis.
+    After Lagrange-Gauss reduction (||u|| <= ||w|| <= ||w +- u||), the
+    shortest vectors of the lattice are among +-u, +-w, +-(w -+ u), and so
+    are the shortest ones independent of them.  Sign-normalizing these four
+    and taking the two smallest by (squared norm, tuple) gives a basis that
+    depends on the lattice only, not on the starting basis.
+
+    The reduction runs on the Gram matrix: u and w are kept as coefficient
+    pairs over (b1, b2) with their squared norms and dot product, so each
+    step is O(1).  Only the candidates whose norm ties or beats the second
+    smallest are built, since the tie-break compares the vectors.
     """
-    n1, n2 = _dot(b1, b1), _dot(b2, b2)
+    n1, n2, g = _dot(b1, b1), _dot(b2, b2), _dot(b1, b2)
+    (p, q), (r, s) = (1, 0), (0, 1)  # u = p*b1 + q*b2, w = r*b1 + s*b2
     if n1 > n2:
-        b1, b2, n1, n2 = b2, b1, n2, n1
+        (p, q), (r, s), n1, n2 = (r, s), (p, q), n2, n1
     while True:
-        mu = (2 * _dot(b1, b2) + n1) // (2 * n1)  # nearest integer to <b1,b2>/n1
+        mu = (2 * g + n1) // (2 * n1)  # nearest integer to <u,w>/n1
         if mu:
-            b2 = tuple(y - mu * x for x, y in zip(b1, b2))
-            n2 = _dot(b2, b2)
+            r, s = r - mu * p, s - mu * q
+            n2 += mu * (mu * n1 - 2 * g)
+            g -= mu * n1
         if n2 >= n1:
             break
-        b1, b2, n1, n2 = b2, b1, n2, n1
-    cands = [b1, b2, tuple(y - x for x, y in zip(b1, b2)), tuple(y + x for x, y in zip(b1, b2))]
-    (_, v1), (_, v2) = sorted((_dot(v, v), v) for v in map(_sign_normalized, cands))[:2]
+        (p, q), (r, s), n1, n2 = (r, s), (p, q), n2, n1
+    cands = ((n1, p, q), (n2, r, s), (n1 + n2 - 2 * g, r - p, s - q), (n1 + n2 + 2 * g, r + p, s + q))
+    second = sorted(c[0] for c in cands)[1]
+    (_, v1), (_, v2) = sorted(
+        (n, _sign_normalized(tuple(c1 * e1 + c2 * e2 for e1, e2 in zip(b1, b2))))
+        for n, c1, c2 in cands if n <= second
+    )[:2]
     return v1, v2

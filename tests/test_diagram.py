@@ -281,3 +281,13 @@ def test_cone_matches_brute_force_on_degenerate_rows():
                 assert set(got) == {(r[1] // g, -r[0] // g), (-r[1] // g, r[0] // g)}
             else:
                 assert got is None, (name, rows)
+
+
+def test_cone_refuses_entries_that_are_not_integers():
+    # 1.5 once read as 1 gave the cone of (1, -1) and (0, 1), not the true
+    # rays (2, 3) and (1, 0); True once read as 1
+    with pytest.raises(ValueError, match="entries must be integers, got 1.5"):
+        cone_from_constraint_rows([(1.5, -1), (0, 1)])
+    with pytest.raises(ValueError, match="entries must be integers, got the bool True"):
+        cone_from_constraint_rows([(True, 0), (0, 1)])
+    assert set(cone_from_constraint_rows([(3, -2), (0, 1)])) == {(2, 3), (1, 0)}

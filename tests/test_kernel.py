@@ -1,7 +1,7 @@
 """The rank-2 lattice kernel against the Smith form as the reference, the
-canonical Lagrange-Gauss tie-break, exact rank, the int64 span check
-against its Python-int loop, and how often the entry points coerce their
-input."""
+canonical Lagrange-Gauss tie-break and its Gram-matrix form against the
+vector loop, exact rank, the int64 span check against its Python-int loop,
+and how often the entry points coerce their input."""
 
 import itertools
 import math
@@ -99,6 +99,55 @@ def test_reduce_basis_rank2_is_canonical():
         for _ in range(10):
             assert reduced(*unimodular_twist(v1, v2, rng)) == expected, (v1, v2)
     assert reduced([1, 0, 1], [0, 1, 1]) == ((0, 1, 1), (1, -1, 0))
+
+
+def reference_lagrange_gauss(b1, b2):
+    """Lagrange-Gauss reduction on the vectors themselves, O(m) per step,
+    with the canonical tie-break: the two smallest of the four
+    sign-normalized candidates by (squared norm, tuple)."""
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def normalized(v):
+        return tuple(-x for x in v) if next((x for x in v if x), 0) < 0 else v
+
+    n1, n2 = dot(b1, b1), dot(b2, b2)
+    if n1 > n2:
+        b1, b2, n1, n2 = b2, b1, n2, n1
+    while True:
+        mu = (2 * dot(b1, b2) + n1) // (2 * n1)
+        if mu:
+            b2 = tuple(y - mu * x for x, y in zip(b1, b2))
+            n2 = dot(b2, b2)
+        if n2 >= n1:
+            break
+        b1, b2, n1, n2 = b2, b1, n2, n1
+    cands = [b1, b2, tuple(y - x for x, y in zip(b1, b2)), tuple(y + x for x, y in zip(b1, b2))]
+    (_, v1), (_, v2) = sorted((dot(v, v), v) for v in map(normalized, cands))[:2]
+    return v1, v2
+
+
+def test_lagrange_gauss_matches_the_vector_loop():
+    rng = random.Random(2612)
+    bases = [([1, 0, 1], [0, 1, 1]), ([1, 0], [0, 1]), ([2, 1], [1, 2])]
+    for k in range(2, 13):
+        for bound in (1, 3, 10**6):
+            for _ in range(60):
+                bases.append(tuple([rng.randint(-bound, bound) for _ in range(k)] for _ in range(2)))
+    # every basis of a lattice with several shortest vectors: the four
+    # candidates tie in norm and only the vectors order them
+    for v1, v2 in list(bases[:3]):
+        bases += [unimodular_twist(v1, v2, rng) for _ in range(50)]
+    checked = ties = 0
+    for v1, v2 in bases:
+        if rank_exact([v1, v2]) < 2:
+            continue
+        b1, b2 = tuple(v1), tuple(v2)
+        expected = reference_lagrange_gauss(b1, b2)
+        assert _lagrange_gauss(b1, b2) == expected, (v1, v2)
+        checked += 1
+        ties += sum(x * x for x in expected[0]) == sum(x * x for x in expected[1])
+    assert checked > 1500 and ties > 150
 
 
 def test_rank_and_determinant_with_zero_pivot_columns():

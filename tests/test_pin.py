@@ -1,13 +1,15 @@
-"""Behaviour pin: a digest of solve's full output over a seeded corpus, the
-default solve (no rejection records, no Fractions) against it, the
-reduction's equivalence on the same corpus, and the same pipeline under
-``python -O`` (invariants are explicit checks, not asserts)."""
+"""Behaviour pin: a digest of solve's full output over a seeded corpus, a
+digest of the reduction's output on the same corpus, the default solve (no
+rejection records, no Fractions) against it, the reduction's equivalence on
+the same corpus, and the same pipeline under ``python -O`` (invariants are
+explicit checks, not asserts)."""
 
 import ast
 import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +26,10 @@ PACKAGE = Path(nnirank2.__file__).parent
 # for byte (verdicts, pairs_examined, certificates, rejection records and
 # canonical diagrams).
 PIN_DIGEST = "5823b7bc4ab6a1be7b663353281461d9b8bde23f4894472ed58e569068c40aae"
+# SHA-256 of reduce_record over pin_corpus(), computed before the rank-2
+# kernel reduced its row lattice on the Gram matrix: B1, C and both stage
+# traces of reduce_to_3x3, byte for byte.
+REDUCE_DIGEST = "d54220f879c3a2cda9b75f95c69d299f94523e70e795fb70ce635251b3ff4856"
 
 
 def pin_corpus():
@@ -64,6 +70,19 @@ def test_solve_digest_is_pinned():
         h.update(pin_record(A).encode())
         h.update(b"\n")
     assert h.hexdigest() == PIN_DIGEST
+
+
+def reduce_record(A) -> str:
+    C, trace = reduce_to_3x3(A)
+    return repr((ints(trace.three_by_m), ints(C), [astuple(st) for st in trace.stages]))
+
+
+def test_reduce_digest_is_pinned():
+    h = hashlib.sha256()
+    for A in pin_corpus():
+        h.update(reduce_record(A).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == REDUCE_DIGEST
 
 
 def factors(out):
