@@ -139,12 +139,19 @@ def cone_from_constraint_rows(rows) -> tuple[Vec2, Vec2] | None:
     """Extreme rays of {p in R^2 : r . p >= 0 for every row r}, as
     :func:`_cone_rays` gives them, or None when it does.
 
-    Zero rows are ignored.  Entries are read under the entry contract of
+    Zero rows are ignored.  A row without exactly two entries raises
+    ValueError, and entries are read under the entry contract of
     ``linalg._entry``: floats and bools raise ValueError.  The rows may lie
     anywhere, so their extremes come from the sorted scan of
     ``linalg._extremes``; the check then decides whether they are the cone's.
     """
-    rs = [(_entry(r[0]), _entry(r[1])) for r in rows]
+    rs = []
+    for r in rows:
+        try:
+            x, y = r
+        except (TypeError, ValueError):
+            raise ValueError(f"constraint rows must have two entries, got {r!r}") from None
+        rs.append((_entry(x), _entry(y)))
     rs = [r for r in rs if r != (0, 0)]
     if not rs:
         return None
@@ -219,6 +226,18 @@ def _apply(M: tuple[tuple[int, int], tuple[int, int]], p: Vec2) -> Vec2:
     return (M[0][0] * p[0] + M[0][1] * p[1], M[1][0] * p[0] + M[1][1] * p[1])
 
 
+def _canon_index(r) -> int:
+    """The canonization index r as the Python int 1 or 2, read as
+    ``linalg._entry`` reads an entry; anything else raises ValueError."""
+    try:
+        r = _entry(r)
+    except ValueError:
+        r = 0
+    if r not in (1, 2):
+        raise ValueError("canonization index must be 1 or 2")
+    return r
+
+
 def canonicalize(d: Diagram, r: int = 1) -> CanonicalDiagram:
     """Canonical form of a diagram: cone spanned by (1,0) and (c,d), 0<=c<d.
 
@@ -227,8 +246,7 @@ def canonicalize(d: Diagram, r: int = 1) -> CanonicalDiagram:
     flip making the second generator's y-coordinate positive, and the
     smallest shear making its x-coordinate nonnegative (hence < d).
     """
-    if r not in (1, 2):
-        raise ValueError("canonization index must be 1 or 2")
+    r = _canon_index(r)
     g = d.cone_gens[r - 1]
     other = d.cone_gens[2 - r]
     a, b = g

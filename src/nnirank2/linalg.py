@@ -102,12 +102,6 @@ def as_int_vector(data) -> np.ndarray:
     return out
 
 
-def identity_matrix(n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=object)
-    np.fill_diagonal(out, 1)
-    return out
-
-
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended Euclid: return (g, x, y) with a*x + b*y == g == gcd(|a|, |b|).
 
@@ -230,63 +224,43 @@ def smith_normal_form(A) -> SnfResult:
     order, moved to (k, k) by a row and a column swap.  The pivot row and
     column are then cleared alternately with extended-gcd 2x2 transforms
     (plain subtraction when the pivot already divides the target entry)
-    until both are zero off the diagonal.  Afterwards the diagonal is fixed
-    up to satisfy the divisibility chain and made nonnegative.
+    until both are zero off the diagonal.  A column swap or step is the row
+    one on the transposed views D.T and T.T, so its writes land in D and T.
+    Afterwards the diagonal is fixed up to satisfy the divisibility chain
+    and made nonnegative.
     """
     A = as_int_matrix(A)
     n, m = A.shape
     D = A.copy()
-    S = identity_matrix(n)
-    T = identity_matrix(m)
+    S = np.identity(n, dtype=object)
+    T = np.identity(m, dtype=object)
 
-    def row_clear(k: int, i: int) -> None:
-        # Zero D[i, k] against the pivot D[k, k]; D <- E @ D, S <- S @ E^-1.
-        a, b = D[k, k], D[i, k]
+    def row_clear(M: np.ndarray, U: np.ndarray, k: int, i: int) -> None:
+        # Zero M[i, k] against the pivot M[k, k]; M <- E @ M, U <- U @ E^-1.
+        a, b = M[k, k], M[i, k]
         if b == 0:
             return
         if a != 0 and b % a == 0:
             q = b // a
-            D[i, :] = D[i, :] - q * D[k, :]
-            S[:, k] = S[:, k] + q * S[:, i]
+            M[i, :] = M[i, :] - q * M[k, :]
+            U[:, k] = U[:, k] + q * U[:, i]
             return
         g, x, y = ext_gcd(a, b)
         u, v = a // g, b // g
-        rk = x * D[k, :] + y * D[i, :]
-        ri = -v * D[k, :] + u * D[i, :]
-        D[k, :], D[i, :] = rk, ri
-        ck = u * S[:, k] + v * S[:, i]
-        ci = -y * S[:, k] + x * S[:, i]
-        S[:, k], S[:, i] = ck, ci
-
-    def col_clear(k: int, j: int) -> None:
-        # Zero D[k, j] against the pivot D[k, k]; D <- D @ N, T <- N^-1 @ T.
-        a, b = D[k, k], D[k, j]
-        if b == 0:
-            return
-        if a != 0 and b % a == 0:
-            q = b // a
-            D[:, j] = D[:, j] - q * D[:, k]
-            T[k, :] = T[k, :] + q * T[j, :]
-            return
-        g, x, y = ext_gcd(a, b)
-        u, v = a // g, b // g
-        ck = x * D[:, k] + y * D[:, j]
-        cj = -v * D[:, k] + u * D[:, j]
-        D[:, k], D[:, j] = ck, cj
-        rk = u * T[k, :] + v * T[j, :]
-        rj = -y * T[k, :] + x * T[j, :]
-        T[k, :], T[j, :] = rk, rj
+        rk = x * M[k, :] + y * M[i, :]
+        ri = -v * M[k, :] + u * M[i, :]
+        M[k, :], M[i, :] = rk, ri
+        ck = u * U[:, k] + v * U[:, i]
+        ci = -y * U[:, k] + x * U[:, i]
+        U[:, k], U[:, i] = ck, ci
 
     def settle(k: int, rows: range, cols: range) -> None:
         while True:
-            for i in rows:
-                row_clear(k, i)
-            if all(D[k, j] == 0 for j in cols):
-                break
-            for j in cols:
-                col_clear(k, j)
-            if all(D[i, k] == 0 for i in rows):
-                break
+            for M, U, targets, others in ((D, S, rows, cols), (D.T, T.T, cols, rows)):
+                for i in targets:
+                    row_clear(M, U, k, i)
+                if all(M[k, j] == 0 for j in others):
+                    return
 
     r = 0
     for k in range(min(n, m)):
@@ -302,12 +276,10 @@ def smith_normal_form(A) -> SnfResult:
         if piv is None:
             break
         pi, pj = piv
-        if pi != k:
-            D[[k, pi], :] = D[[pi, k], :]
-            S[:, [k, pi]] = S[:, [pi, k]]
-        if pj != k:
-            D[:, [k, pj]] = D[:, [pj, k]]
-            T[[k, pj], :] = T[[pj, k], :]
+        for M, U, p in ((D, S, pi), (D.T, T.T, pj)):
+            if p != k:
+                M[[k, p], :] = M[[p, k], :]
+                U[:, [k, p]] = U[:, [p, k]]
         settle(k, range(k + 1, n), range(k + 1, m))
         r += 1
 

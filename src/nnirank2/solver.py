@@ -20,7 +20,7 @@ from math import gcd
 import numpy as np
 
 from . import linalg
-from .diagram import CanonicalDiagram, build_diagram, canonicalize
+from .diagram import CanonicalDiagram, _canon_index, build_diagram, canonicalize
 from .linalg import (
     Vec2,
     _extremes,
@@ -579,8 +579,8 @@ def solve(A, r: int = 1, collect_rejections: bool = False) -> SolveOutcome:
     canonical-diagram search with canonization index ``r``.  Every rank2
     verdict is gated through :func:`verify_factorization` before return.
     """
-    if r not in (1, 2):
-        raise ValueError("canonization index must be 1 or 2")
+    if type(r) is not int or r not in (1, 2):
+        r = _canon_index(r)  # a plain int 1 or 2 needs no conversion
     A = as_int_matrix(A)
     if (A < 0).any():
         raise ValueError("matrix must be nonnegative")

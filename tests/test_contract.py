@@ -122,7 +122,7 @@ def test_cli_exits_2_on_non_integer_entries(tmp_path, capsys, text, command):
     ],
 )
 def test_solve_rejects_a_bad_canonization_index_first(A):
-    for r in (0, 3, -1):
+    for r in (0, 3, -1, 2.0, True):
         with pytest.raises(ValueError, match="canonization index"):
             solve(A, r=r)
 

@@ -1,6 +1,7 @@
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 from conftest import same_lattice
@@ -188,6 +189,18 @@ def test_canonicalize_quadrant():
     assert abs(det_exact(cd.transform)) == 1
 
 
+def test_canonicalize_reads_its_index_as_an_int():
+    # 1.0 once raised a TypeError from indexing the cone generators, and
+    # np.int64(2) was stored as canon_index unconverted
+    d = build_diagram([[1, 0, 1], [0, 1, 1]])
+    cd = canonicalize(d, np.int64(2))
+    assert type(cd.canon_index) is int and cd.canon_index == 2
+    assert cd.transform.tolist() == canonicalize(d, 2).transform.tolist()
+    for r in (1.0, True, 0, 3, "1"):
+        with pytest.raises(ValueError, match="canonization index must be 1 or 2"):
+            canonicalize(d, r)
+
+
 def _random_diagram(rng):
     n = rng.randint(2, 4)
     _, _, A = gen_product(n, n, 3, seed=[101, rng.randint(0, 10**6)])
@@ -291,3 +304,10 @@ def test_cone_refuses_entries_that_are_not_integers():
     with pytest.raises(ValueError, match="entries must be integers, got the bool True"):
         cone_from_constraint_rows([(True, 0), (0, 1)])
     assert set(cone_from_constraint_rows([(3, -2), (0, 1)])) == {(2, 3), (1, 0)}
+
+
+def test_cone_refuses_rows_without_two_entries():
+    # (1, 0, 5) once lost its 5 and gave the cone of (1, 0) and (0, 1)
+    for row in ((1, 0, 5), (1,), 7):
+        with pytest.raises(ValueError, match="constraint rows must have two entries"):
+            cone_from_constraint_rows([row, (0, 1)])
