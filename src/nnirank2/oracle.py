@@ -54,7 +54,10 @@ def brute_force(cd: CanonicalDiagram) -> OracleVerdict:
     Any generator used with a positive coefficient is componentwise at most
     some data point, so candidates are capped by the componentwise maximum
     of the data; pairs with an unused generator are covered by a == b.
+    Raises ValueError for a diagram that is not a CanonicalDiagram.
     """
+    if not isinstance(cd, CanonicalDiagram):
+        raise ValueError("brute_force needs a CanonicalDiagram: pass the diagram through canonicalize")
     pts = [p for p in cd.points if p != (0, 0)]
     if not pts:
         return OracleVerdict(True, None, 0)

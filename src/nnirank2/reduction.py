@@ -54,7 +54,7 @@ class StageTrace:
 class ReductionTrace:
     input: np.ndarray
     three_by_m: np.ndarray
-    three_by_three: np.ndarray | None
+    three_by_three: np.ndarray
     stages: tuple[StageTrace, ...]
 
 

@@ -25,6 +25,7 @@ from .linalg import (
     Vec2,
     _extremes,
     _hermite2,
+    _int64_rows,
     _int_rows,
     as_int_matrix,
     primitive_point,
@@ -56,8 +57,6 @@ _BATCH_MIN_PAIRS = 32
 _BATCH_MAX = 2**13
 # The batch's int64 and float64 gates: see _batch_dtype
 _BATCH_INT64_BOUND, _BATCH_FLOAT_BOUND = 2**62, 2**53
-# verify_factorization's int64 gate on max(F1) * max(F2): see _int64_product
-_PRODUCT_INT64_BOUND = 2**61
 
 
 @dataclass(frozen=True)
@@ -110,9 +109,12 @@ def decompose(cd: CanonicalDiagram) -> ConeDecomposition:
 
     Ties between parallel points are broken toward the smaller Euclidean
     norm, then lexicographically, so the result is deterministic.  Raises
-    ValueError when fewer than two non-parallel nonzero points exist (the
-    matrix then has rank < 2), and RuntimeError when vx or cx is below 0.
+    ValueError for a diagram that is not a CanonicalDiagram and when fewer
+    than two non-parallel nonzero points exist (the matrix then has rank
+    < 2), and RuntimeError when vx or cx is below 0.
     """
+    if not isinstance(cd, CanonicalDiagram):
+        raise ValueError("the search needs a CanonicalDiagram: pass the diagram through canonicalize")
     pts = [p for p in cd.points if p != (0, 0)]
     if not pts:
         raise ValueError("no nonzero points: matrix has rank 0")
@@ -507,49 +509,30 @@ def assemble(
     return Rank2Certificate(F1=np.array(F1, dtype=object), F2=F2, pair=pair)
 
 
-def _int64_product(f1: list[list[int]], f2: list[list[int]]) -> np.ndarray | None:
-    """F1 @ F2 in int64, for an n x 2 and a 2 x m factor given by their rows,
-    when every entry of both is nonnegative and max(F1) * max(F2) <
-    _PRODUCT_INT64_BOUND; None otherwise.
-
-    The bound makes the product exact.  Entry (i, j) is
-    F1[i][0] * F2[0][j] + F1[i][1] * F2[1][j]: two nonnegative terms, each
-    at most max(F1) * max(F2) < 2**61, so the entry and every partial sum
-    are at most 2 * max(F1) * max(F2) < 2**62 < 2**63, and nothing
-    overflows.  Both factors are read by one ``np.fromiter``.
-    """
-    n, m = len(f1), len(f2[0])
-    try:
-        F = np.fromiter(chain(chain.from_iterable(f1), chain.from_iterable(f2)), np.int64, 2 * (n + m))
-    except OverflowError:
-        return None
-    F1, F2 = F[:2 * n].reshape(n, 2), F[2 * n:].reshape(2, m)
-    if F.min() < 0 or int(F1.max()) * int(F2.max()) >= _PRODUCT_INT64_BOUND:
-        return None
-    return F1 @ F2
-
-
 def verify_factorization(A, F1, F2) -> bool:
     """True iff F1 (n x 2) times F2 (2 x m) reproduces A exactly with
     nonnegative integer entries throughout.  Never raises.
 
-    Each matrix is validated once.  The product is the int64 one of
-    :func:`_int64_product` when A has at least linalg._INT64_MIN_ENTRIES
-    entries, the frame's size cut, and that product is exact; else a
-    product on Python ints, row by row, faster on a small A.  Either way
-    its entries are compared with A's as Python ints.
+    Each matrix is validated once and one test refuses a negative factor
+    entry.  When A has at least linalg._INT64_MIN_ENTRIES entries, the
+    frame's size cut, each factor is cast by linalg._int64_rows; if both
+    casts succeed, every factor entry is in [0, 2**20], so each product
+    entry is at most 2**41 and the int64 product is exact.  Otherwise the
+    product runs on Python ints, row by row, faster on a small A.  Either
+    way its entries are compared with A's as Python ints.
     """
     try:
-        (rows, _), (f1, _), (f2, _) = (_int_rows(X) for X in (A, F1, F2))
+        (rows, _), (f1, a1), (f2, a2) = (_int_rows(X) for X in (A, F1, F2))
     except (ValueError, TypeError):
         return False
     if (len(f1), len(f1[0]), len(f2), len(f2[0])) != (len(rows), 2, 2, len(rows[0])):
         return False
-    P = _int64_product(f1, f2) if len(rows) * len(rows[0]) >= linalg._INT64_MIN_ENTRIES else None
-    if P is not None:
-        return P.tolist() == rows
     if any(x < 0 for x in chain(*f1, *f2)):
         return False
+    if len(rows) * len(rows[0]) >= linalg._INT64_MIN_ENTRIES:
+        F, G = _int64_rows(f1, a1), _int64_rows(f2, a2)
+        if F is not None and G is not None:
+            return (F @ G).tolist() == rows
     return [[a * x + b * y for x, y in zip(*f2)] for a, b in f1] == rows
 
 

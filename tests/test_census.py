@@ -21,6 +21,7 @@ from nnirank2 import (
     solve,
     verify_factorization,
 )
+from nnirank2.linalg import _hermite2
 from nnirank2.oracle import brute_force
 
 COLUMN_ORDERS = list(permutations(range(3)))
@@ -68,6 +69,18 @@ def census(B):
     return count, not_rank2
 
 
+def not_rank2_diagrams(B):
+    """(key, points, cone, G) for each not_rank2 class of census(B): the set
+    of points and the cone generators of its canonical diagram at index 1,
+    and the index G in Z² of the lattice those points generate."""
+    out = []
+    for M in census(B)[1]:
+        cd = canonicalize(build_diagram([list(row) for row in M]), 1)
+        (h1, _), (_, h2) = _hermite2(cd.points)
+        out.append((M, frozenset(cd.points), cd.cone_gens, h1 * h2))
+    return out
+
+
 def test_class_key_is_constant_on_a_class():
     M = ((0, 1, 2), (1, 1, 1), (2, 1, 0))
     key = class_key(M)
@@ -81,3 +94,10 @@ def test_census_of_entries_up_to_2():
     count, not_rank2 = census(2)
     assert count == 174
     assert not_rank2 == [class_key(tuple(map(tuple, gen_bt(1).tolist())))]
+
+
+def test_not_rank2_diagrams_of_entries_up_to_2():
+    # bt(1)'s class alone, whose points generate all of Z²
+    [(M, points, cone, G)] = not_rank2_diagrams(2)
+    assert M == class_key(tuple(map(tuple, gen_bt(1).tolist())))
+    assert (points, cone, G) == ({(1, 0), (1, 1), (1, 2)}, ((1, 0), (1, 2)), 1)

@@ -180,7 +180,6 @@ def test_int64_casts_give_the_python_int_answers(monkeypatch, case):
     calls = [(rank_exact, X), (build_diagram, X), (solve, X), (verify_factorization, X, F1, F2)]
     answers = [outcome(*call) for call in calls]
     monkeypatch.setattr(linalg, "_INT64_MIN_ENTRIES", 10**9)
-    monkeypatch.setattr(solver, "_PRODUCT_INT64_BOUND", 0)
     assert answers == [outcome(*call) for call in calls]
     # no entry wrapped: the scale's sign decides
     assert answers[0] == 2
@@ -209,7 +208,8 @@ def test_an_object_array_is_cast_by_astype_only_when_it_holds_python_ints():
 
 # (validations, casts) of each public call on a 20 x 20 product: each of its
 # matrices is validated once (linalg._int_rows) and cast to int64 at most
-# once (linalg._int64_matrix, or solver._int64_product for a certificate).
+# once (linalg._int64_matrix, or linalg._int64_rows for each factor of a
+# certificate).
 # solve and reduce_to_3x3 count those of the public calls they make.
 PASSES = {
     nnirank2.as_int_matrix: (1, 0),
@@ -223,9 +223,9 @@ PASSES = {
     reduction.row_lattice_basis: (1, 1),
     nnirank2.build_3xm: (1, 1),
     nnirank2.validate_equivalence: (2, 1),
-    nnirank2.verify_factorization: (3, 1),
+    nnirank2.verify_factorization: (3, 2),
     # as_int_matrix, rank_exact, build_diagram, verify_factorization
-    nnirank2.solve: (6, 3),
+    nnirank2.solve: (6, 4),
     # as_int_matrix, build_3xm twice, rank_exact
     nnirank2.reduce_to_3x3: (4, 3),
 }
@@ -247,10 +247,13 @@ def test_each_public_call_validates_once_and_casts_at_most_once(monkeypatch):
             return fn(*a, **k)
         return wrapper
 
-    for key, home, name in (("validate", linalg, "_int_rows"), ("cast", linalg, "_int64_matrix"),
-                            ("cast", solver, "_int64_product")):
-        fn = counted(key, getattr(home, name))
-        for module in (linalg, diagram, reduction, solver, matrixio):
+    everywhere = (linalg, diagram, reduction, solver, matrixio)
+    # the certificate's factors are cast under solver's name for
+    # _int64_rows; linalg's own calls cast a basis or go through _int64_matrix
+    for key, name, modules in (("validate", "_int_rows", everywhere), ("cast", "_int64_matrix", everywhere),
+                               ("cast", "_int64_rows", (solver,))):
+        fn = counted(key, getattr(modules[0], name))
+        for module in modules:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, fn)
     fromiter = np.fromiter

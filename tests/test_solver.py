@@ -58,6 +58,20 @@ def test_decompose_refuses_a_cone_outside_the_canonical_quadrant():
             call(cd)
 
 
+def test_a_plain_diagram_is_refused():
+    # search(build_diagram(A)) once said not_rank2 on this rank2 matrix, and
+    # brute_force said False: a plain Diagram is not canonical
+    A = [[2, 10, 14, 2], [5, 25, 35, 5], [15, 27, 27, 21]]
+    assert solve(A).verdict == RANK2
+    plain = [build_diagram(A)] + [build_diagram(gen_product(3, 4, 3, seed=[i, 3])[2]) for i in range(5)]
+    for d in plain:
+        assert type(d) is Diagram
+        for call in (decompose, search, brute_force):
+            with pytest.raises(ValueError, match="CanonicalDiagram: pass the diagram through canonicalize$"):
+                call(d)
+        assert brute_force(canonicalize(d, 1)).rank2 == (search(canonicalize(d, 1)).verdict == RANK2)
+
+
 def test_decompose_bt():
     # exhaustive cross-product comparison picks the angular extremes
     cd = canonical(gen_bt(4), r=2)
@@ -203,17 +217,17 @@ def product_of(F1, F2):
 
 
 def certificates():
-    """(A, F1, F2, genuine): seeded products' certificates, factors whose
-    max(F1) * max(F2) is just below and at the int64 product's bound of
-    2**61, and forgeries of each: an F1 entry + 1, an F2 entry set to -1,
-    F1 without its last row, and a float F1 entry."""
+    """(A, F1, F2, genuine): seeded products' certificates, factors with an
+    entry at and just past 2**20, the bound of the int64 factor cast, and at
+    2**61 and 2**63, and forgeries of each: an F1 entry + 1, an F2 entry set
+    to -1, F1 without its last row, and a float F1 entry."""
     genuine = []
     for i in range(30):
         A = gen_product(2 + i % 7, 2 + (i // 7) % 5, (3, 10, 100)[i % 3], seed=[2618, i])[2]
         cert = solve(A).certificate
         if cert is not None:
             genuine.append((cert.F1.tolist(), cert.F2.tolist()))
-    for f, g in ((2**61 - 1, 1), (2**61, 1), (2**30, 2**31 - 1), (2**30, 2**31), (2**31, 2**31)):
+    for f, g in ((2**20, 2**20), (2**20 + 1, 1), (1, 2**20 + 1), (2**61, 1), (2**63, 1)):
         genuine.append(([[f, f], [1, 0]], [[g, 1, 0], [g, 0, 1]]))
     for F1, F2 in genuine:
         A = product_of(F1, F2)
@@ -228,46 +242,73 @@ def certificates():
             yield A, f1, f2, False
 
 
+def recorded_casts(monkeypatch):
+    """A list that gets, for each factor verify_factorization casts, whether
+    the cast gave an int64 array."""
+    calls, cast = [], solver._int64_rows
+
+    def recorded(rows, array=None):
+        M = cast(rows, array)
+        calls.append(M is not None)
+        return M
+
+    monkeypatch.setattr(solver, "_int64_rows", recorded)
+    return calls
+
+
 def test_verify_factorization_int64_and_python_products_agree(monkeypatch):
-    cases = list(certificates())
-    on_int64 = sum(solver._int64_product(F1, F2) is not None for _, F1, F2, ok in cases if ok)
-    assert 0 < on_int64 < sum(ok for *_, ok in cases)
-    assert [verify_factorization(A, F1, F2) for A, F1, F2, _ in cases] == [ok for *_, ok in cases]
-    monkeypatch.setattr(solver, "_int64_product", lambda f1, f2: None)
-    assert [verify_factorization(A, F1, F2) for A, F1, F2, _ in cases] == [ok for *_, ok in cases]
-
-
-def test_verify_factorization_takes_the_int64_product_from_the_size_cut(monkeypatch):
-    # below linalg._INT64_MIN_ENTRIES entries in A the Python product runs;
-    # with the cut at 0 the int64 one runs wherever it is exact: same answers
+    # with the size cut at 0 the int64 product runs wherever both factors
+    # cast, and with it at 10**9 never: the same answers either way
     cases = list(certificates())
     want = [ok for *_, ok in cases]
-    assert max(len(A) * len(A[0]) for A, *_ in cases) < linalg._INT64_MIN_ENTRIES
-    calls = []
-    product = solver._int64_product
-
-    def counted(f1, f2):
-        P = product(f1, f2)
-        calls.append(P is not None)
-        return P
-
-    monkeypatch.setattr(solver, "_int64_product", counted)
-    assert [verify_factorization(A, F1, F2) for A, F1, F2, _ in cases] == want
-    assert calls == []
     monkeypatch.setattr(linalg, "_INT64_MIN_ENTRIES", 0)
+    calls = recorded_casts(monkeypatch)
+    on_int64 = 0
+    for A, F1, F2, ok in cases:
+        calls.clear()
+        assert verify_factorization(A, F1, F2) == ok
+        on_int64 += ok and calls == [True, True]
+    assert 0 < on_int64 < sum(want)
+    monkeypatch.setattr(linalg, "_INT64_MIN_ENTRIES", 10**9)
     assert [verify_factorization(A, F1, F2) for A, F1, F2, _ in cases] == want
-    assert True in calls and False in calls
 
 
-def test_int64_product_bound():
-    # max(F1) * max(F2) < 2**61, so each entry, a sum of two such products, is below 2**62
-    for f, g, fits in ((2**61 - 1, 1, True), (2**61, 1, False), (2**30, 2**31 - 1, True), (2**30, 2**31, False)):
+def test_verify_factorization_takes_the_int64_cast_from_the_size_cut(monkeypatch):
+    # below linalg._INT64_MIN_ENTRIES entries in A no factor is cast and the
+    # Python product runs; from the cut on both factors are cast
+    cases = list(certificates())
+    cut = linalg._INT64_MIN_ENTRIES
+    assert max(len(A) * len(A[0]) for A, *_ in cases) < cut
+    calls = recorded_casts(monkeypatch)
+    assert [verify_factorization(A, F1, F2) for A, F1, F2, _ in cases] == [ok for *_, ok in cases]
+    assert calls == []
+    for m in (cut - 1, cut):  # A is 1 x m, on either side of the cut
+        F1, F2 = [[1, 1]], [list(range(m)), [1] * m]
+        calls.clear()
+        assert verify_factorization(product_of(F1, F2), F1, F2)
+        assert calls == ([True, True] if m == cut else [])
+
+
+def test_int64_factor_cast_bound(monkeypatch):
+    # a factor is cast only with every entry in [0, 2**20], so each product
+    # entry, a sum of two products of such entries, is at most 2**41
+    monkeypatch.setattr(linalg, "_INT64_MIN_ENTRIES", 0)
+    calls = recorded_casts(monkeypatch)
+    for f, g, fits in ((2**20, 2**20, True), (2**20 + 1, 1, False), (1, 2**20 + 1, False), (2**63, 1, False)):
         F1, F2 = [[f, f], [1, 0]], [[g, 1, 0], [g, 0, 1]]
-        P = solver._int64_product(F1, F2)
-        assert (P is not None) == fits
-        assert P is None or P.tolist() == product_of(F1, F2)
-    assert solver._int64_product([[1, -1]], [[1], [1]]) is None
-    assert solver._int64_product([[2**63, 0]], [[0], [0]]) is None
+        A = product_of(F1, F2)
+        assert max(map(max, A)) == 2 * f * g
+        calls.clear()
+        assert verify_factorization(A, F1, F2)
+        assert len(calls) == 2 and all(calls) == fits
+        A[0][0] -= 1
+        assert not verify_factorization(A, F1, F2)
+    # a negative entry is refused before any cast, and on both paths
+    calls.clear()
+    assert not verify_factorization([[0]], [[1, -1]], [[1], [1]])
+    monkeypatch.setattr(linalg, "_INT64_MIN_ENTRIES", 10**9)
+    assert not verify_factorization([[0]], [[1, -1]], [[1], [1]])
+    assert calls == []
 
 
 def test_solve_beasley(beasley):
