@@ -1,9 +1,10 @@
 """Exact integer linear algebra primitives.
 
-Public functions take and return numpy object arrays holding Python ints,
-so every operation is exact at any magnitude.  There is no floating point
-anywhere in this module.  Each public function validates its matrix once
-(``_int_rows``) and casts it to int64 at most once (``_int64_matrix``).
+Public functions return numpy object arrays holding Python ints, so every
+operation is exact at any magnitude.  There is no floating point anywhere
+in this module.  Each public function validates its matrix once
+(``_int_rows``; no type pass over the int64 copy of a large A that solve
+and reduce_to_3x3 hand on) and casts it to int64 at most once.
 
 The private rank-2 lattice kernel (``_pivot`` to ``_lagrange_gauss``) works
 on tuples of Python ints, except that its one span check runs as numpy
@@ -42,10 +43,11 @@ def _int_rows(data) -> tuple[list[list[int]], np.ndarray | None]:
 
     This is the one input contract of every entry point: empty or ragged
     input and entries that are not integers (floats, strings, bools) raise
-    ValueError.  One type pass over every entry accepts the common case.
-    When it fails, the rows are checked in order, each for its length and
-    then its entries, so the first bad row gives the error, and only rows
-    with an entry that is not a Python int are rebuilt through ``_entry``.
+    ValueError.  A plain signed integer array needs no type pass; else one
+    pass over every entry accepts the common case.  When it fails, the rows
+    are checked in order, each for its length and then its entries, so the
+    first bad row gives the error, and only rows with an entry that is not
+    a Python int are rebuilt through ``_entry``.
 
     The array is ``data`` itself when it is a plain ndarray from which
     ``astype(np.int64)`` reads exactly these ints: an object array whose
@@ -62,7 +64,9 @@ def _int_rows(data) -> tuple[list[list[int]], np.ndarray | None]:
     if not rows or not rows[0]:
         raise ValueError("matrix must have at least one row and one column")
     width = len(rows[0])
-    exact = all(len(row) == width for row in rows) and (
+    # type(data) is, not isinstance: np.matrix and masked input are rebuilt as plain arrays
+    signed = type(data) is np.ndarray and data.dtype.kind == "i"
+    exact = signed or all(len(row) == width for row in rows) and (
         list(map(type, chain.from_iterable(rows))).count(int) == len(rows) * width
     )
     if not exact:
@@ -73,8 +77,7 @@ def _int_rows(data) -> tuple[list[list[int]], np.ndarray | None]:
                 )
             if set(map(type, row)) != {int}:
                 rows[i] = [_entry(x) for x in row]
-    # type(data) is, not isinstance: np.matrix and masked input are rebuilt as plain arrays
-    plain = type(data) is np.ndarray and (data.dtype.kind == "i" or exact and data.dtype == object)
+    plain = signed or exact and type(data) is np.ndarray and data.dtype == object
     return rows, data if plain else None
 
 

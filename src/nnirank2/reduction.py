@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .diagram import _nonnegative_rows, _plane_cone, cone_from_constraint_rows
 from .linalg import (
     Pivot,
@@ -168,9 +169,14 @@ def reduce_to_3x3(A) -> tuple[np.ndarray, ReductionTrace]:
 
     The second application runs on the transpose of the first result, so
     the output's columns correspond to the three rows produced by stage 1.
+    A is type-checked once; stage 1 gets its int64 copy as in ``solve``.
     """
     A = as_int_matrix(A)
-    B1, st1 = build_3xm(A)
+    try:
+        A64 = A.astype(np.int64) if A.size >= linalg._INT64_MIN_ENTRIES else A
+    except OverflowError:
+        A64 = A
+    B1, st1 = build_3xm(A64)
     C, st2 = build_3xm(B1.T)
     if rank_exact(C) != 2:
         raise RuntimeError("internal error: reduced matrix does not have rank 2")

@@ -561,10 +561,16 @@ def solve(A, r: int = 1, collect_rejections: bool = False) -> SolveOutcome:
     directly with a single-generator factorization, and otherwise runs the
     canonical-diagram search with canonization index ``r``.  Every rank2
     verdict is gated through :func:`verify_factorization` before return.
+    A is type-checked once; the layers get its int64 copy when it has at
+    least linalg._INT64_MIN_ENTRIES entries, all in int64 (``_int_rows``).
     """
     if type(r) is not int or r not in (1, 2):
         r = _canon_index(r)  # a plain int 1 or 2 needs no conversion
     A = as_int_matrix(A)
+    try:
+        A = A.astype(np.int64) if A.size >= linalg._INT64_MIN_ENTRIES else A
+    except OverflowError:
+        pass  # the object array: every layer reads Python ints at any size
     if (A < 0).any():
         raise ValueError("matrix must be nonnegative")
     rk = rank_exact(A)
