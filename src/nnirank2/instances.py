@@ -68,17 +68,6 @@ def _sampler(cdf: memoryview, rng: np.random.Generator) -> Callable[[], int]:
     return lambda: bisect_right(cdf, random()) - radius
 
 
-def dgauss1(sigma: float, center: int, rng: np.random.Generator) -> int:
-    """One sample of the discrete Gaussian on Z, weight exp(-(k-c)^2/2s^2).
-
-    sigma must be positive, finite and at most SIGMA_MAX.  One draw is one
-    rng.random() and one bisect of the cached CDF, which picks the index
-    np.searchsorted(cdf, u, side="right") picks, so a seed gives the same
-    draws as a searchsorted sampler.
-    """
-    return int(center) + _sampler(_dgauss1_cdf(float(sigma)), rng)()
-
-
 def dgauss2(sigma: float, center: Vec2, rng: np.random.Generator) -> Vec2:
     """One Z^2 sample with weight exp(-|x - center|^2 / (2 sigma^2)).
 
@@ -106,7 +95,7 @@ def gen_product(
     the columns lie in the open half-plane x + y > 0, so each is a
     nonnegative combination of lo and hi, and q.c >= 0 for every column
     exactly when q.lo >= 0 and q.hi >= 0.  That accepts the candidates a
-    test against every column accepts, and the draws are dgauss1's, so a
+    test against every column accepts, and the draws are _sampler's, so a
     seed or an rng state gives the same instance and consumes the same
     draws either way.
     """

@@ -3,8 +3,8 @@
 Public functions return numpy object arrays holding Python ints, so every
 operation is exact at any magnitude.  There is no floating point anywhere
 in this module.  Each public function validates its matrix once
-(``_int_rows``; no type pass over the int64 copy of a large A that solve
-and reduce_to_3x3 hand on) and casts it to int64 at most once.
+(``_int_rows``; no type pass over the int64 copy of A that solve and
+reduce_to_3x3 hand on) and casts it to int64 at most once.
 
 The private rank-2 lattice kernel (``_pivot`` to ``_lagrange_gauss``) works
 on tuples of Python ints, except that its one span check runs as numpy

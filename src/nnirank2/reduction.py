@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .diagram import _nonnegative_rows, _plane_cone, cone_from_constraint_rows
 from .linalg import (
     Pivot,
@@ -169,11 +168,12 @@ def reduce_to_3x3(A) -> tuple[np.ndarray, ReductionTrace]:
 
     The second application runs on the transpose of the first result, so
     the output's columns correspond to the three rows produced by stage 1.
-    A is type-checked once; stage 1 gets its int64 copy as in ``solve``.
+    A is type-checked once, by as_int_matrix; stage 1 gets its int64 copy
+    at any size, or the object array when it overflows, as in ``solve``.
     """
     A = as_int_matrix(A)
     try:
-        A64 = A.astype(np.int64) if A.size >= linalg._INT64_MIN_ENTRIES else A
+        A64 = A.astype(np.int64)
     except OverflowError:
         A64 = A
     B1, st1 = build_3xm(A64)

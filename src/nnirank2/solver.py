@@ -320,9 +320,9 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     Each block of _BATCH_MAX of them is one call of :func:`_survivors`, on
     base = P[j0:j1] - first*ux for its first pair t = ``first``, in the
     arithmetic :func:`_batch_dtype` picks.  A survivor's column comes from
-    bisecting the prefix sums as a Python list; it is dropped there if
-    cross(a, b) = C/(g1*g2) does not divide G, else it joins the stream in
-    order, numbered by the prefix sum of all pairs.
+    bisecting the prefix sums as a Python list, and it joins the stream in
+    order, numbered by the prefix sum of all pairs, where the one loop
+    gives it the index test as it does every walked pair.
     int64 gate: as 0 <= y <= uy, every x*uy, y*ux <= ux*uy and N <=
     G*ux**2/4, as h2 | G; the column bounds' within uy, vy*ux and cy*ux
     (vy, cy >= 0 in the cone), the cuts' within x*uy + N and a chunk's
@@ -454,9 +454,7 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
                 for t in _survivors(P[j0:j1] - first * ux, N[j0:j1], pieces, iux):
                     t += first
                     j = bisect_right(tested, t, j0, j1)
-                    x, y = start + j, offsets[j] + t
-                    if G % ((x * uy - y * ux) // (gcd(x, y) * gcd(ux - x, uy - y))) == 0:  # index test
-                        yield pair(x, y, pairs + untested[j] + t + 1)
+                    yield pair(start + j, offsets[j] + t, pairs + untested[j] + t + 1)
             pairs += int(ends[-1])
 
     def sweep():
@@ -561,14 +559,15 @@ def solve(A, r: int = 1, collect_rejections: bool = False) -> SolveOutcome:
     directly with a single-generator factorization, and otherwise runs the
     canonical-diagram search with canonization index ``r``.  Every rank2
     verdict is gated through :func:`verify_factorization` before return.
-    A is type-checked once; the layers get its int64 copy when it has at
-    least linalg._INT64_MIN_ENTRIES entries, all in int64 (``_int_rows``).
+    A is type-checked once, by as_int_matrix; at any size the layers get
+    its int64 copy, or the object array when an entry is outside int64,
+    and linalg's size cut alone picks numpy or Python-int arithmetic.
     """
     if type(r) is not int or r not in (1, 2):
         r = _canon_index(r)  # a plain int 1 or 2 needs no conversion
     A = as_int_matrix(A)
     try:
-        A = A.astype(np.int64) if A.size >= linalg._INT64_MIN_ENTRIES else A
+        A = A.astype(np.int64)
     except OverflowError:
         pass  # the object array: every layer reads Python ints at any size
     if (A < 0).any():

@@ -1,7 +1,9 @@
 """The int64 hand-off: ``solve`` and ``reduce_to_3x3`` type-check A once in
-``as_int_matrix`` and, at linalg._INT64_MIN_ENTRIES entries and above, give
-their layers one int64 copy of it, which ``linalg._int_rows`` takes without
-a type pass.  Every answer must equal the one the object array gives."""
+``as_int_matrix`` and, at every size, give their layers one int64 copy of
+it, which ``linalg._int_rows`` takes without a type pass; when an entry is
+outside int64 the layers get the object array.  Whether a layer runs numpy
+or Python-int arithmetic is linalg's own size cut, _INT64_MIN_ENTRIES.
+Every answer must equal the one the object array gives."""
 
 import dataclasses
 import random
@@ -142,8 +144,8 @@ def test_public_entry_points_agree_on_every_input_form(entry, matrix):
 # entries at most 2**20, in (2**20, 2**63), and at least 2**63, where the
 # cast raises OverflowError and the layers get the object array
 BANDS = {"small": (0, 2**17), "int64": (2**40, 2**41), "above int64": (2**63, 2**64)}
-# 299 and 300 entries, just under and at the size cut
-SHAPES = [(13, 23), (15, 20)]
+# 9 entries, and 299 and 300, just under and at the size cut
+SHAPES = [(13, 23), (15, 20), (3, 3)]
 
 
 def python_answers(fn, X, monkeypatch):
@@ -169,7 +171,7 @@ def reduced(A):
 def test_solve_and_reduce_on_both_sides_of_the_cut(monkeypatch, shape, band):
     (n, m), (lo, hi) = shape, BANDS[band]
     A = product(n, m, lo, hi, seed=n * m)[0]
-    assert n * m - linalg._INT64_MIN_ENTRIES in (-1, 0)
+    assert n * m in (9, linalg._INT64_MIN_ENTRIES - 1, linalg._INT64_MIN_ENTRIES)
     top = max(map(max, A))
     assert {"small": top <= 2**20, "int64": 2**20 < top < 2**63, "above int64": 2**63 <= top}[band]
     for fn in (solve, reduced):
@@ -202,13 +204,15 @@ def test_a_negative_entry_over_the_cut_is_refused_before_the_rank(band):
 
 def passes_over(A, call, monkeypatch):
     """The dtypes in which A reaches linalg._int_rows while call(A) runs:
-    "list" for nested lists, the dtype's name for an array of A's shape."""
+    "list" for nested lists, the dtype's name for an array of A's entries
+    (a 3 x 3 A shares its shape with reduce_to_3x3's later matrices)."""
     seen = []
     real = linalg._int_rows
+    entries = np.asarray(A, dtype=object)
 
     def recorded(data):
         if isinstance(data, np.ndarray):
-            if data.shape == np.shape(A):
+            if data.shape == entries.shape and (data == entries).all():
                 seen.append(data.dtype.name)
         elif data is A:
             seen.append("list")
@@ -223,10 +227,10 @@ def passes_over(A, call, monkeypatch):
 
 
 @pytest.mark.parametrize("band", list(BANDS))
-def test_a_large_matrix_gets_one_type_pass_per_call(monkeypatch, band):
+def test_every_matrix_gets_one_type_pass_per_call(monkeypatch, band):
     lo, hi = BANDS[band]
-    # under the cut, and over it above int64, every layer reads the object array
-    for (n, m), object_only in (((15, 20), band == "above int64"), ((13, 23), True)):
+    object_only = band == "above int64"  # the cast overflows: every layer reads the object array
+    for n, m in ((3, 3), (13, 23), (15, 20)):
         A = np.array(product(n, m, lo, hi, seed=11)[0], dtype=object)
         assert solve(A).verdict == "rank2"
         # as_int_matrix, rank_exact, build_diagram, verify_factorization;
@@ -234,7 +238,7 @@ def test_a_large_matrix_gets_one_type_pass_per_call(monkeypatch, band):
         for call, layers in ((solve, 4), (reduce_to_3x3, 2)):
             seen = passes_over(A, call, monkeypatch)
             assert len(seen) == layers
-            # otherwise only as_int_matrix does
+            # otherwise only as_int_matrix does, at every size
             assert seen.count("object") == (layers if object_only else 1), (call.__name__, n * m)
             assert seen.count("int64") == (0 if object_only else layers - 1)
         assert passes_over(A.tolist(), solve, monkeypatch)[0] == "list"

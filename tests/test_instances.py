@@ -11,7 +11,6 @@ from nnirank2.instances import (
     SIGMA_MAX,
     _dgauss1_cdf,
     _sampler,
-    dgauss1,
     dgauss2,
     gen_bt,
     gen_near_t,
@@ -95,11 +94,11 @@ def test_cdf_cache_is_bounded():
     bound = _dgauss1_cdf.cache_info().maxsize
     assert bound is not None
     for i in range(bound + 3):
-        dgauss1(1.5 + i / 100, 0, np.random.default_rng(i))
+        dgauss2(1.5 + i / 100, (0, 0), np.random.default_rng(i))
     assert _dgauss1_cdf.cache_info().currsize <= bound
 
 
-@pytest.mark.parametrize("sample", [lambda s, r: dgauss1(s, 0, r), lambda s, r: dgauss2(s, (5, 5), r)])
+@pytest.mark.parametrize("sample", [lambda s, r: dgauss2(s, (0, 0), r), lambda s, r: dgauss2(s, (5, 5), r)])
 def test_samplers_reject_invalid_sigma(sample):
     # sigma = 0 drew (4, 4) every time from a NaN table, -3 drew from a
     # 3-point table and 1e12 asked for a 175 TiB table

@@ -37,12 +37,14 @@ def corpus():
 def variants(A, rng):
     """(name, matrix) pairs with the nonnegative integer rank of A."""
     n, m = len(A), len(A[0])
-    rows, cols, j = rng.sample(range(n), n), rng.sample(range(m), m), rng.randrange(m)
+    rows, cols, d, j = rng.sample(range(n), n), rng.sample(range(m), m), rng.randrange(n), rng.randrange(m)
     yield "transpose", [list(col) for col in zip(*A)]
     yield "row permutation", [A[i] for i in rows]
     yield "column permutation", [[row[k] for k in cols] for row in A]
     yield "zero column", [row + [0] for row in A]
     yield "duplicate column", [row + [row[j]] for row in A]
+    yield "zero row", A + [[0] * m]
+    yield "duplicate row", A + [A[d]]
 
 
 def checked_verdict(A) -> str:

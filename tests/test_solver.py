@@ -827,9 +827,9 @@ def test_int64_batch_matches_the_python_walk(monkeypatch):
 
 
 def test_batch_index_test_drops_what_the_full_check_would(monkeypatch):
-    # the batch drops a survivor whose cross(a, b) does not divide G before
-    # building its pair; with the walk's own index test at the consumer, each
-    # search makes the same full checks, batched or walked
+    # the batch yields every survivor, and the one index test at the consumer
+    # drops those whose cross(a, b) does not divide G, walked or batched; each
+    # search makes the same full checks either way
     calls = count_full_checks(monkeypatch)
     blocks = count_blocks(monkeypatch)
     for cd in walk_batch_corpus():
