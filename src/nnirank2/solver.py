@@ -287,14 +287,16 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     u_point - k*a; when k*a == u_point, b sweeps the directions
     v_point - k'*a for k' = 0, 1, ... while they stay in the ambient cone.
     The first pair generating every point wins; the outcome is fully
-    deterministic.  The pairs come as one ordered stream of (a, b, k), k
-    counting from 1 in that order, and one loop checks each of them.
+    deterministic.  The pairs come as one ordered stream of (k*a, q, k), q
+    the direction of b and k counting from 1, and one loop checks each.
 
     Each pair first meets an O(1) divisibility test.  Let G be the index in
     Z² of the lattice L_P the points generate.  If (a, b) generates every
     point then L_P ⊆ L(a, b), and the index |cross(a, b)| of L(a, b)
     divides G.  A pair failing that cannot win, so it is rejected without
     the full check over every point; it still counts in ``pairs_examined``.
+    The loop runs it on cross(k*a, q)/(g1*g2), for g1 and g2 the gcds of
+    k*a and q, and divides by them into a and b only for a pair that passes.
     Under ``collect_rejections`` every pair gets the full check, so each
     rejection is recorded with its first failing point and coefficients.
 
@@ -378,12 +380,6 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     dtype = _batch_dtype(dec, G) if prune and bound <= MAX_CANDIDATE_PAIRS else None
     pairs = 0  # the pairs counted so far, after each column, chunk and sweep step
 
-    def pair(x: int, y: int, k: int) -> tuple[Vec2, Vec2, int]:
-        # the k-th pair, from k*a = (x, y): a = k*a / g1, b = (u_point - k*a) / g2
-        g1, dx, dy = gcd(x, y), ux - x, uy - y
-        g2 = gcd(dx, dy)
-        return (x // g1, y // g1), (dx // g2, dy // g2), k
-
     def refusal(pairs_in: str = "") -> ValueError:
         from .matrixio import _TooManyDigits, base10_str  # on refusal only: it imports argparse
         try:
@@ -423,7 +419,7 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
             for C in range(top - cut * ux, top - hi * ux - 1, -ux):
                 if N % C == 0:
                     y = (top - C) // ux
-                    yield pair(x, y, pairs + y - lo + 1)
+                    yield (x, y), (ux - x, uy - y), pairs + y - lo + 1
             pairs += max(0, hi - lo + 1)
             if over:
                 raise refusal()
@@ -454,11 +450,12 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
                 for t in _survivors(P[j0:j1] - first * ux, N[j0:j1], pieces, iux):
                     t += first
                     j = bisect_right(tested, t, j0, j1)
-                    yield pair(start + j, offsets[j] + t, pairs + untested[j] + t + 1)
+                    x, y = start + j, offsets[j] + t
+                    yield (x, y), (ux - x, uy - y), pairs + untested[j] + t + 1
             pairs += int(ends[-1])
 
     def sweep():
-        # b = v_point - k2*a, primitive, for k2 = 0, 1, ..., S - 1, the steps in the cone
+        # b's direction v_point - k2*a for k2 = 0, 1, ..., S - 1, the steps in the cone
         nonlocal pairs
         (ax, ay), (px, py), (cx, cy) = dec.u, dec.v_point, dec.c
         S = 1 + min(n // d for n, d in ((py, ay), (px * cy - py * cx, ax * cy - ay * cx)) if d > 0)
@@ -468,13 +465,13 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
             pairs += 1
             if pairs > limit:
                 raise refusal()
-            qx, qy = px - k2 * ax, py - k2 * ay
-            g = gcd(qx, qy)
-            yield dec.u, (qx // g, qy // g), pairs
+            yield dec.u, (px - k2 * ax, py - k2 * ay), pairs
 
-    for a, b, k in chain(walk(_x_lo(dec)), sweep()):
-        if prune and G % (a[0] * b[1] - a[1] * b[0]):
+    for (px, py), (qx, qy), k in chain(walk(_x_lo(dec)), sweep()):
+        g1, g2 = gcd(px, py), gcd(qx, qy)
+        if prune and G % ((px * qy - py * qx) // (g1 * g2)):
             continue  # the index test: cross(a, b) does not divide G
+        a, b = (px // g1, py // g1), (qx // g2, qy // g2)  # the pair, primitive
         W = _coefficients(a, b, points)
         if not isinstance(W, int):
             cert = assemble(cd, CandidatePair(a, b), W)
@@ -515,12 +512,12 @@ def verify_factorization(A, F1, F2) -> bool:
     entry.  When A has at least linalg._INT64_MIN_ENTRIES entries, the
     frame's size cut, each factor is cast by linalg._int64_rows; if both
     casts succeed, every factor entry is in [0, 2**20], so each product
-    entry is at most 2**41 and the int64 product is exact.  Otherwise the
-    product runs on Python ints, row by row, faster on a small A.  Either
-    way its entries are compared with A's as Python ints.
+    entry is at most 2**41 and the int64 product is exact; it is compared
+    with a signed-integer A as it is, with anything else as lists.  Otherwise
+    the product runs on Python ints, row by row, faster on a small A.
     """
     try:
-        (rows, _), (f1, a1), (f2, a2) = (_int_rows(X) for X in (A, F1, F2))
+        (rows, a0), (f1, a1), (f2, a2) = (_int_rows(X) for X in (A, F1, F2))
     except (ValueError, TypeError):
         return False
     if (len(f1), len(f1[0]), len(f2), len(f2[0])) != (len(rows), 2, 2, len(rows[0])):
@@ -530,7 +527,7 @@ def verify_factorization(A, F1, F2) -> bool:
     if len(rows) * len(rows[0]) >= linalg._INT64_MIN_ENTRIES:
         F, G = _int64_rows(f1, a1), _int64_rows(f2, a2)
         if F is not None and G is not None:
-            return (F @ G).tolist() == rows
+            return (F @ G).tolist() == rows if a0 is None or a0.dtype == object else np.array_equal(F @ G, a0)
     return [[a * x + b * y for x, y in zip(*f2)] for a, b in f1] == rows
 
 

@@ -2,6 +2,7 @@ import hashlib
 import random
 import sys
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -216,30 +217,48 @@ def product_of(F1, F2):
     return [[a * x + b * y for x, y in zip(*F2)] for a, b in F1]
 
 
-def certificates():
-    """(A, F1, F2, genuine): seeded products' certificates, factors with an
-    entry at and just past 2**20, the bound of the int64 factor cast, and at
-    2**61 and 2**63, and forgeries of each: an F1 entry + 1, an F2 entry set
-    to -1, F1 without its last row, and a float F1 entry."""
-    genuine = []
+def forgeries(F1, F2):
+    """Forged factor pairs, by name: the first two pass the type, shape and
+    sign checks, so only the product can refuse them."""
+    plus = [row[:] for row in F1]
+    plus[0][0] += 1
+    less = [row[:] for row in F2]
+    less[0][next(j for j, x in enumerate(less[0]) if x)] -= 1
+    minus = [row[:] for row in F2]
+    minus[1][-1] = -1
+    real = [row[:] for row in F1]
+    real[-1][1] = float(real[-1][1])
+    return {"F1 entry + 1": (plus, F2), "F2 entry - 1": (F1, less), "F2 entry set to -1": (F1, minus),
+            "short F1": (F1[:-1], F2), "float F1": (real, F2)}
+
+
+def genuine_factors():
+    """Seeded products' certificates, and factors with an entry at and just
+    past 2**20, the bound of the int64 factor cast, and at 2**61 and 2**63."""
     for i in range(30):
         A = gen_product(2 + i % 7, 2 + (i // 7) % 5, (3, 10, 100)[i % 3], seed=[2618, i])[2]
         cert = solve(A).certificate
         if cert is not None:
-            genuine.append((cert.F1.tolist(), cert.F2.tolist()))
+            yield cert.F1.tolist(), cert.F2.tolist()
     for f, g in ((2**20, 2**20), (2**20 + 1, 1), (1, 2**20 + 1), (2**61, 1), (2**63, 1)):
-        genuine.append(([[f, f], [1, 0]], [[g, 1, 0], [g, 0, 1]]))
-    for F1, F2 in genuine:
+        yield [[f, f], [1, 0]], [[g, 1, 0], [g, 0, 1]]
+
+
+def certificates():
+    """(A, F1, F2, genuine): each of genuine_factors() and its forgeries()."""
+    for F1, F2 in genuine_factors():
         A = product_of(F1, F2)
         yield A, F1, F2, True
-        plus = [row[:] for row in F1]
-        plus[0][0] += 1
-        minus = [row[:] for row in F2]
-        minus[1][-1] = -1
-        real = [row[:] for row in F1]
-        real[-1][1] = float(real[-1][1])
-        for f1, f2 in ((plus, F2), (F1, minus), (F1[:-1], F2), (real, F2)):
+        for f1, f2 in forgeries(F1, F2).values():
             yield A, f1, f2, False
+
+
+def matrix_forms(A):
+    """A as a list, an object array and, when its entries fit, an int64 array."""
+    yield A
+    yield np.array(A, dtype=object)
+    if max(map(max, A)) < 2**63:
+        yield np.array(A, dtype=np.int64)
 
 
 def recorded_casts(monkeypatch):
@@ -256,21 +275,57 @@ def recorded_casts(monkeypatch):
     return calls
 
 
+def recorded_array_compares(monkeypatch):
+    """A list that gets an entry for each np.array_equal call."""
+    calls, array_equal = [], np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda *args: calls.append(args) or array_equal(*args))
+    return calls
+
+
 def test_verify_factorization_int64_and_python_products_agree(monkeypatch):
     # with the size cut at 0 the int64 product runs wherever both factors
-    # cast, and with it at 10**9 never: the same answers either way
-    cases = list(certificates())
+    # cast, and with it at 10**9 never: the same answers either way, with A
+    # as a list, an object array and an int64 array.  The int64 product
+    # meets an int64 A in one array comparison, and the other forms as lists
+    cases = [(X, F1, F2, ok) for A, F1, F2, ok in certificates() for X in matrix_forms(A)]
     want = [ok for *_, ok in cases]
     monkeypatch.setattr(linalg, "_INT64_MIN_ENTRIES", 0)
-    calls = recorded_casts(monkeypatch)
-    on_int64 = 0
+    calls, compares = recorded_casts(monkeypatch), recorded_array_compares(monkeypatch)
+    on_int64 = on_array = 0
     for A, F1, F2, ok in cases:
         calls.clear()
+        compares.clear()
         assert verify_factorization(A, F1, F2) == ok
         on_int64 += ok and calls == [True, True]
-    assert 0 < on_int64 < sum(want)
+        on_array += ok and len(compares) == 1
+        assert len(compares) == (calls == [True, True] and isinstance(A, np.ndarray) and A.dtype == np.int64)
+    assert 0 < on_array < on_int64 < sum(want)
     monkeypatch.setattr(linalg, "_INT64_MIN_ENTRIES", 10**9)
     assert [verify_factorization(A, F1, F2) for A, F1, F2, _ in cases] == want
+    assert compares == []
+
+
+def test_forgeries_reach_the_array_comparison(monkeypatch):
+    # on an int64 A with both factors cast, a forgery that passes the type,
+    # shape and sign checks is refused by the array comparison; the others
+    # are refused before any cast
+    monkeypatch.setattr(linalg, "_INT64_MIN_ENTRIES", 0)
+    calls, compares = recorded_casts(monkeypatch), recorded_array_compares(monkeypatch)
+    reached = Counter()
+    for F1, F2 in genuine_factors():
+        A = np.array(product_of(F1, F2), dtype=object)
+        if A.max() >= 2**63:
+            continue
+        A = A.astype(np.int64)
+        for name, (f1, f2) in forgeries(F1, F2).items():
+            calls.clear()
+            compares.clear()
+            assert not verify_factorization(A, f1, f2), name
+            assert len(compares) == (calls == [True, True]), name
+            reached[name] += len(compares)
+            if name not in ("F1 entry + 1", "F2 entry - 1"):
+                assert calls == [], name
+    assert reached["F1 entry + 1"] > 20 and reached["F2 entry - 1"] > 20
 
 
 def test_verify_factorization_takes_the_int64_cast_from_the_size_cut(monkeypatch):
