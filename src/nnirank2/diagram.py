@@ -21,7 +21,7 @@ from .linalg import (
     _entry,
     _extremes,
     _hermite2,
-    _int64_matrix,
+    _int_matrix,
     _int_points,
     _int_rows,
     _pivot,
@@ -81,8 +81,7 @@ def column_lattice_basis(A) -> np.ndarray:
     independent columns B of A and the Hermite form H of B's rows, so the
     gcd of its 2x2 minors is 1.  Raises ValueError unless A has rank 2.
     """
-    rows, array = _int_rows(A)
-    basis, _ = _column_lattice(rows, _int64_matrix(rows, array))
+    basis, _ = _column_lattice(*_int_matrix(A))
     return np.array(basis, dtype=object)
 
 
@@ -92,7 +91,7 @@ def point_coordinates(A, basis) -> list[Vec2]:
     Raises ValueError when some column has no integer coordinates, which
     means the given basis does not span a lattice containing the columns.
     """
-    rows, array = _int_rows(A)
+    rows, M = _int_matrix(A)
     brows, _ = _int_rows(basis)
     if (len(brows), len(brows[0])) != (len(rows), 2):
         raise ValueError("basis must be n x 2 for an n-row matrix")
@@ -100,7 +99,7 @@ def point_coordinates(A, basis) -> list[Vec2]:
     piv = _pivot(brows)
     if piv is None:
         raise ValueError("basis must have rank 2")
-    pts = _int_points(brows, piv, rows, _int64_matrix(rows, array))
+    pts = _int_points(brows, piv, rows, M)
     if None in pts:
         raise ValueError(f"column {pts.index(None)} has no integer coordinates in the basis")
     return pts
@@ -186,12 +185,11 @@ def _plane_cone(brows: list[Vec2]) -> tuple[tuple[Vec2, int], tuple[Vec2, int]]:
     return (d1, k1), (d2, k2)
 
 
-def _nonnegative_rows(A) -> tuple[list[list[int]], np.ndarray | None]:
+def _nonnegative_rows(A) -> tuple[Sequence[list[int]], np.ndarray | None]:
     """A's rows and ``linalg._int64_matrix`` M, validated and cast once;
     ValueError unless every entry is nonnegative, read from M's minimum
     when M exists."""
-    rows, array = _int_rows(A)
-    M = _int64_matrix(rows, array)
+    rows, M = _int_matrix(A)
     if (min(map(min, rows)) if M is None else M.min()) < 0:
         raise ValueError("matrix must be nonnegative")
     return rows, M

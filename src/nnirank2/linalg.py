@@ -2,9 +2,9 @@
 
 Public functions return numpy object arrays holding Python ints, so every
 operation is exact at any magnitude.  There is no floating point anywhere
-in this module.  Each public function validates its matrix once
-(``_int_rows``; no type pass over the int64 copy of A that solve and
-reduce_to_3x3 hand on) and casts it to int64 at most once.
+in this module.  Each public function validates its matrix once and casts
+it to int64 at most once (``_int_matrix``); the int64 copy of A that solve
+and reduce_to_3x3 hand on is read as it is, a row at a time, where it fits.
 
 The private rank-2 lattice kernel (``_pivot`` to ``_lagrange_gauss``) works
 on tuples of Python ints, except that its one span check runs as numpy
@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,21 @@ def _entry(x) -> int:
         raise ValueError(f"entries must be integers, got {x!r}") from None
 
 
-def _int_rows(data) -> tuple[list[list[int]], np.ndarray | None]:
-    """Validate a matrix: its rows as lists of Python ints, and the array
+class _ArrayRows(Sequence):
+    """The rows of an int64 matrix M, read-only: row i is M[i].tolist()."""
+
+    def __init__(self, M: np.ndarray) -> None:
+        self.M = M
+
+    def __len__(self) -> int:
+        return len(self.M)
+
+    def __getitem__(self, i):
+        return self.M[i].tolist()
+
+
+def _int_rows(data) -> tuple[Sequence[list[int]], np.ndarray | None]:
+    """Validate a matrix: its rows, of Python ints, and the array
     :func:`_int64_matrix` may cast directly.
 
     This is the one input contract of every entry point: empty or ragged
@@ -53,10 +67,16 @@ def _int_rows(data) -> tuple[list[list[int]], np.ndarray | None]:
     ``astype(np.int64)`` reads exactly these ints: an object array whose
     entries all are Python ints, or a signed integer dtype.  Otherwise it
     is None, for unsigned dtypes too: astype wraps uint64 2**64 - 1 to -1
-    without an error.
+    without an error.  In the int64 gate (see _INT64_SAFE) a signed array
+    comes back as its int64 cast M, and its rows as :class:`_ArrayRows` of M.
     """
     if isinstance(data, np.ndarray) and data.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got {data.ndim} dimensions")
+    # type(data) is, not isinstance: np.matrix and masked input are rebuilt as plain arrays
+    signed = type(data) is np.ndarray and data.dtype.kind == "i"
+    if signed and data.size >= _INT64_MIN_ENTRIES and -_INT64_SAFE <= data.min() and data.max() <= _INT64_SAFE:
+        M = data.astype(np.int64, copy=False)
+        return _ArrayRows(M), M
     try:
         rows = data.tolist() if isinstance(data, np.ndarray) else [list(r) for r in data]
     except TypeError:
@@ -64,8 +84,6 @@ def _int_rows(data) -> tuple[list[list[int]], np.ndarray | None]:
     if not rows or not rows[0]:
         raise ValueError("matrix must have at least one row and one column")
     width = len(rows[0])
-    # type(data) is, not isinstance: np.matrix and masked input are rebuilt as plain arrays
-    signed = type(data) is np.ndarray and data.dtype.kind == "i"
     exact = signed or all(len(row) == width for row in rows) and (
         list(map(type, chain.from_iterable(rows))).count(int) == len(rows) * width
     )
@@ -84,15 +102,11 @@ def _int_rows(data) -> tuple[list[list[int]], np.ndarray | None]:
 def as_int_matrix(data) -> np.ndarray:
     """Coerce nested sequences or arrays to a 2-D object array of Python ints,
     under the contract of :func:`_int_rows`.  A plain object array that
-    already holds only Python ints comes back as a copy, which costs one
-    type pass and no rebuild.
+    already holds only Python ints, or of a signed integer dtype, comes
+    back cast by ``astype(object)``, which gives Python ints, with no rebuild.
     """
     rows, array = _int_rows(data)
-    if array is not None and array.dtype == object:
-        return array.copy()
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
-    out[:] = rows
-    return out
+    return np.array(rows, dtype=object) if array is None else array.astype(object)
 
 
 def as_int_vector(data) -> np.ndarray:
@@ -200,13 +214,12 @@ def _bareiss(M: list[list[int]]) -> tuple[int, int]:
 
 def rank_exact(A) -> int:
     """Rank over the rationals, from the rank-2 column frame (:func:`_frame`)."""
-    rows, array = _int_rows(A)
-    return _frame(rows, _int64_matrix(rows, array))[0]
+    return _frame(*_int_matrix(A))[0]
 
 
 def det_exact(A) -> int:
     """Exact determinant of a square integer matrix (Bareiss)."""
-    M, _ = _int_rows(A)
+    M = list(_int_rows(A)[0])  # lists Bareiss may overwrite
     if len(M) != len(M[0]):
         raise ValueError("determinant requires a square matrix")
     rank, last = _bareiss(M)
@@ -340,9 +353,17 @@ def _int64_matrix(rows: Sequence[Sequence[int]], array: np.ndarray | None = None
     This is the one cast of a public call: the frame and the span check
     take its result and convert the matrix no further.
     """
+    if isinstance(rows, _ArrayRows):
+        return rows.M
     if len(rows) * len(rows[0]) < _INT64_MIN_ENTRIES:
         return None
     return _int64_rows(rows, array)
+
+
+def _int_matrix(data) -> tuple[Sequence[list[int]], np.ndarray | None]:
+    """A matrix's rows and :func:`_int64_matrix`: a public call's one validation and cast."""
+    rows, array = _int_rows(data)
+    return rows, _int64_matrix(rows, array)
 
 
 def _int64_rows(rows: Sequence[Sequence[int]], array: np.ndarray | None = None) -> np.ndarray | None:
@@ -443,15 +464,19 @@ def _frame(
     rows: Sequence[Sequence[int]], M: np.ndarray | None = None, name_rank: bool = True
 ) -> tuple[int | None, tuple[list[Vec2], Pivot, list[Vec2]] | None]:
     """The exact rank and, at rank 2, the frame :func:`_column_frame` returns,
-    for the matrix given by its rows and by M, its :func:`_int64_matrix`.
-    When the span check fails the rank is above 2: Bareiss elimination names
-    it under ``name_rank``, else it reads None."""
+    for the matrix given by its rows and by M, its :func:`_int64_matrix`,
+    whose columns it reads when M is given.  A failed span check means a
+    rank above 2: Bareiss elimination names it under ``name_rank``, else None."""
     m = len(rows[0])
-    j0 = next((j for j in range(m) if any(row[j] for row in rows)), None)
+    if M is None:
+        j0 = next((j for j in range(m) if any(row[j] for row in rows)), None)
+    else:
+        j0 = next(iter(M.any(axis=0).nonzero()[0].tolist()), None)
     if j0 is None:
         return 0, None
     for j1 in range(j0 + 1, m):
-        B = [(row[j0], row[j1]) for row in rows]
+        B = ([(row[j0], row[j1]) for row in rows] if M is None
+             else list(zip(M[:, j0].tolist(), M[:, j1].tolist())))
         piv = _pivot(B)
         if piv is not None:
             break

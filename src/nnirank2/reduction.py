@@ -25,6 +25,7 @@ from .linalg import (
     _hermite2,
     _frame,
     _int64_matrix,
+    _int_matrix,
     _int_points,
     _int_rows,
     _lagrange_gauss,
@@ -95,8 +96,8 @@ def row_lattice_basis(A) -> tuple[np.ndarray, np.ndarray]:
     lifted back and reduced by the canonical Lagrange-Gauss rule of
     ``linalg._lagrange_gauss``.  Raises ValueError unless A has rank 2.
     """
-    rows, array = _int_rows(A)
-    B, piv, _ = _column_frame(rows, _int64_matrix(rows, array))
+    rows, M = _int_matrix(A)
+    B, piv, _ = _column_frame(rows, M)
     return tuple(as_int_vector(a) for a in _row_lattice(rows, B, piv))
 
 
@@ -168,8 +169,8 @@ def reduce_to_3x3(A) -> tuple[np.ndarray, ReductionTrace]:
 
     The second application runs on the transpose of the first result, so
     the output's columns correspond to the three rows produced by stage 1.
-    A is type-checked once, by as_int_matrix; stage 1 gets its int64 copy
-    at any size, or the object array when it overflows, as in ``solve``.
+    A is type-checked once, by as_int_matrix; stage 1 gets its int64 copy,
+    or the object array when it overflows, and reads it as in ``solve``.
     """
     A = as_int_matrix(A)
     try:
@@ -202,12 +203,12 @@ def validate_equivalence(A, B) -> EquivalenceReport:
     rows_b, _ = _int_rows(B)
     if len(rows_a[0]) != len(rows_b[0]):
         raise ValueError("matrices must have the same column count")
-    stack = rows_a + rows_b
+    stack = [*rows_a, *rows_b]
     # the one cast: of the stack, whose slices are A's and B's
     M = _int64_matrix(stack)
     n = len(rows_a)
-    _column_frame(rows_a, None if M is None else M[:n])  # rank checks
-    _column_frame(rows_b, None if M is None else M[n:])
+    _column_frame(stack[:n], None if M is None else M[:n])  # rank checks
+    _column_frame(stack[n:], None if M is None else M[n:])
     # B's rows lie in A's row space exactly when the stack has rank 2, which
     # its span check decides; the stack's frame columns then project that
     # row space injectively
@@ -216,7 +217,7 @@ def validate_equivalence(A, B) -> EquivalenceReport:
 
     cond_lattice = cond_cone = False
     if cond_row_space:
-        P, Q = frame[0][:len(rows_a)], frame[0][len(rows_a):]
+        P, Q = frame[0][:n], frame[0][n:]
         cond_lattice = _hermite2(P) == _hermite2(Q)
         rays_p, rays_q = cone_from_constraint_rows(P), cone_from_constraint_rows(Q)
         cond_cone = rays_p is not None and rays_q is not None and set(rays_p) == set(rays_q)

@@ -528,7 +528,7 @@ def verify_factorization(A, F1, F2) -> bool:
         F, G = _int64_rows(f1, a1), _int64_rows(f2, a2)
         if F is not None and G is not None:
             return (F @ G).tolist() == rows if a0 is None or a0.dtype == object else np.array_equal(F @ G, a0)
-    return [[a * x + b * y for x, y in zip(*f2)] for a, b in f1] == rows
+    return [[a * x + b * y for x, y in zip(*f2)] for a, b in f1] == list(rows)
 
 
 def _rank1_factors(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -556,9 +556,9 @@ def solve(A, r: int = 1, collect_rejections: bool = False) -> SolveOutcome:
     directly with a single-generator factorization, and otherwise runs the
     canonical-diagram search with canonization index ``r``.  Every rank2
     verdict is gated through :func:`verify_factorization` before return.
-    A is type-checked once, by as_int_matrix; at any size the layers get
-    its int64 copy, or the object array when an entry is outside int64,
-    and linalg's size cut alone picks numpy or Python-int arithmetic.
+    A is type-checked once, by as_int_matrix; the layers get its int64 copy
+    (the object array when an entry is outside int64), which they read as
+    it is inside linalg's int64 gate and as rows of Python ints outside it.
     """
     if type(r) is not int or r not in (1, 2):
         r = _canon_index(r)  # a plain int 1 or 2 needs no conversion
