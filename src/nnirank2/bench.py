@@ -1,11 +1,12 @@
 """Benchmark suites over the instance generators, with CSV output.
 
 Per-instance wall time is measured around the solve call only (generation
-and parsing excluded).  Every suite runs its instances one after another in
-this process, after one untimed run of its first instance, so that no
-record pays for the process's first, cold calls.  Each instance is
-generated from its own seed, so the non-timing columns are the same on
-every run.
+and parsing excluded), as the least of three calls' times, so that a call
+slowed by other work on the host does not set a record.  Every suite runs
+its instances one after another in this process, after one untimed run of
+its first instance, so that no record pays for the process's first, cold
+calls.  Each instance is generated from its own seed, so the non-timing
+columns are the same on every run.
 """
 
 from __future__ import annotations
@@ -56,9 +57,12 @@ def _cell_instance(seed: int, n: int, sigma, i: int):
 
 
 def _timed(fn, A):
-    t0 = time.perf_counter()
-    out = fn(A)
-    return out, time.perf_counter() - t0
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        out = fn(A)
+        times.append(time.perf_counter() - t0)
+    return out, min(times)
 
 
 def _timed_solve(A):

@@ -24,8 +24,8 @@ from .linalg import (
     _int_matrix,
     _int_points,
     _int_rows,
+    _nonnegative_rows,
     _pivot,
-    cross2,
     ext_gcd,
     primitive,
     primitive_point,
@@ -60,16 +60,16 @@ class CanonicalDiagram(Diagram):
     canon_index: int
 
 
-def _column_lattice(rows, M: np.ndarray | None) -> tuple[list[Vec2], list[Vec2]]:
+def _column_lattice(rows) -> tuple[list[Vec2], list[Vec2]]:
     """Saturated column-lattice basis (as n rows) and the columns' points,
-    for the matrix given by its rows and its ``linalg._int64_matrix`` M.
+    for the matrix given by its rows (``linalg._int_matrix``).
 
     With B two independent columns of A and H the Hermite form of B's
     rows, an integer x has B x integer exactly when x is in H^-1 Z^2, so
     the columns of B H^-1 generate col(A) ∩ Z^n.  A column with
     coordinates x in B has coordinates H x in that basis.
     """
-    B, (_, _, d), coords = _column_frame(rows, M)
+    B, (_, _, d), coords = _column_frame(rows)
     (a, b), (_, c) = _hermite2(B)
     basis = [(x // a, (a * y - b * x) // (a * c)) for x, y in B]
     points = [((a * n0 + b * n1) // d, c * n1 // d) for n0, n1 in coords]
@@ -81,7 +81,7 @@ def column_lattice_basis(A) -> np.ndarray:
     independent columns B of A and the Hermite form H of B's rows, so the
     gcd of its 2x2 minors is 1.  Raises ValueError unless A has rank 2.
     """
-    basis, _ = _column_lattice(*_int_matrix(A))
+    basis, _ = _column_lattice(_int_matrix(A))
     return np.array(basis, dtype=object)
 
 
@@ -91,7 +91,7 @@ def point_coordinates(A, basis) -> list[Vec2]:
     Raises ValueError when some column has no integer coordinates, which
     means the given basis does not span a lattice containing the columns.
     """
-    rows, M = _int_matrix(A)
+    rows = _int_matrix(A)
     brows, _ = _int_rows(basis)
     if (len(brows), len(brows[0])) != (len(rows), 2):
         raise ValueError("basis must be n x 2 for an n-row matrix")
@@ -99,7 +99,7 @@ def point_coordinates(A, basis) -> list[Vec2]:
     piv = _pivot(brows)
     if piv is None:
         raise ValueError("basis must have rank 2")
-    pts = _int_points(brows, piv, rows, M)
+    pts = _int_points(brows, piv, rows)
     if None in pts:
         raise ValueError(f"column {pts.index(None)} has no integer coordinates in the basis")
     return pts
@@ -185,16 +185,6 @@ def _plane_cone(brows: list[Vec2]) -> tuple[tuple[Vec2, int], tuple[Vec2, int]]:
     return (d1, k1), (d2, k2)
 
 
-def _nonnegative_rows(A) -> tuple[Sequence[list[int]], np.ndarray | None]:
-    """A's rows and ``linalg._int64_matrix`` M, validated and cast once;
-    ValueError unless every entry is nonnegative, read from M's minimum
-    when M exists."""
-    rows, M = _int_matrix(A)
-    if (min(map(min, rows)) if M is None else M.min()) < 0:
-        raise ValueError("matrix must be nonnegative")
-    return rows, M
-
-
 def extreme_rays(A) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
     """The two extreme rays of col(A) ∩ R⁺ⁿ, each with a vanishing row.
 
@@ -203,7 +193,7 @@ def extreme_rays(A) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
     are ordered by ascending vanishing-row index.  Zero rows of A never
     appear as vanishing rows.
     """
-    B, _, _ = _column_frame(*_nonnegative_rows(A))
+    B, _, _ = _column_frame(_nonnegative_rows(A))
     return tuple(
         (primitive([x * d[0] + y * d[1] for x, y in B]), k) for d, k in _plane_cone(B)
     )
@@ -211,7 +201,7 @@ def extreme_rays(A) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
 
 def build_diagram(A) -> Diagram:
     """Construct the full plane diagram of a rank-2 nonnegative matrix."""
-    basis, pts = _column_lattice(*_nonnegative_rows(A))
+    basis, pts = _column_lattice(_nonnegative_rows(A))
     (d1, _), (d2, _) = _plane_cone(basis)
     return Diagram(
         basis=np.array(basis, dtype=object),
@@ -273,13 +263,3 @@ def canonicalize(d: Diagram, r: int = 1) -> CanonicalDiagram:
         transform=np.array(T, dtype=object),
         canon_index=r,
     )
-
-
-def in_cone(p: Vec2, g1: Vec2, g2: Vec2) -> bool:
-    """Membership of p in the cone spanned by g1, g2 (either orientation)."""
-    orient = cross2(g1, g2)
-    if orient > 0:
-        return cross2(g1, p) >= 0 and cross2(p, g2) >= 0
-    if orient < 0:
-        return cross2(g2, p) >= 0 and cross2(p, g1) >= 0
-    raise ValueError("cone generators must not be parallel")

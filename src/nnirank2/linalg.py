@@ -3,8 +3,8 @@
 Public functions return numpy object arrays holding Python ints, so every
 operation is exact at any magnitude.  There is no floating point anywhere
 in this module.  Each public function validates its matrix once and casts
-it to int64 at most once (``_int_matrix``); the int64 copy of A that solve
-and reduce_to_3x3 hand on is read as it is, a row at a time, where it fits.
+it to int64 at most once, into one value (``_int_matrix``): its rows, which
+inside the int64 gate are ``_ArrayRows`` holding the int64 matrix as it is.
 
 The private rank-2 lattice kernel (``_pivot`` to ``_lagrange_gauss``) works
 on tuples of Python ints, except that its one span check runs as numpy
@@ -39,7 +39,9 @@ def _entry(x) -> int:
 
 
 class _ArrayRows(Sequence):
-    """The rows of an int64 matrix M, read-only: row i is M[i].tolist()."""
+    """The rows of an int64 matrix M, read-only: row i is M[i].tolist(), and
+    a slice is _ArrayRows of M's slice.  Only this module reads M.  It is
+    tested by type: isinstance through the Sequence ABC costs 10 times more."""
 
     def __init__(self, M: np.ndarray) -> None:
         self.M = M
@@ -48,12 +50,12 @@ class _ArrayRows(Sequence):
         return len(self.M)
 
     def __getitem__(self, i):
-        return self.M[i].tolist()
+        return _ArrayRows(self.M[i]) if isinstance(i, slice) else self.M[i].tolist()
 
 
 def _int_rows(data) -> tuple[Sequence[list[int]], np.ndarray | None]:
     """Validate a matrix: its rows, of Python ints, and the array
-    :func:`_int64_matrix` may cast directly.
+    :func:`_int64_view` may cast directly.
 
     This is the one input contract of every entry point: empty or ragged
     input and entries that are not integers (floats, strings, bools) raise
@@ -214,7 +216,7 @@ def _bareiss(M: list[list[int]]) -> tuple[int, int]:
 
 def rank_exact(A) -> int:
     """Rank over the rationals, from the rank-2 column frame (:func:`_frame`)."""
-    return _frame(*_int_matrix(A))[0]
+    return _frame(_int_matrix(A))[0]
 
 
 def det_exact(A) -> int:
@@ -344,26 +346,29 @@ _INT64_SAFE = 2**20
 _INT64_MIN_ENTRIES = 300
 
 
-def _int64_matrix(rows: Sequence[Sequence[int]], array: np.ndarray | None = None) -> np.ndarray | None:
-    """The int64 matrix of rows validated by :func:`_int_rows`, when it has
-    at least _INT64_MIN_ENTRIES entries and every one lies in
-    [-_INT64_SAFE, _INT64_SAFE]; None otherwise.  ``array`` is the array
-    :func:`_int_rows` returned with the rows.
-
-    This is the one cast of a public call: the frame and the span check
-    take its result and convert the matrix no further.
-    """
-    if isinstance(rows, _ArrayRows):
-        return rows.M
-    if len(rows) * len(rows[0]) < _INT64_MIN_ENTRIES:
-        return None
-    return _int64_rows(rows, array)
+def _int64_view(rows: Sequence[Sequence[int]], array: np.ndarray | None = None) -> Sequence[list[int]]:
+    """The int64 gate: rows validated by :func:`_int_rows`, with its ``array``,
+    as :class:`_ArrayRows` of their :func:`_int64_rows` matrix when they have
+    at least _INT64_MIN_ENTRIES entries and that matrix exists; else as they are."""
+    if type(rows) is _ArrayRows or len(rows) * len(rows[0]) < _INT64_MIN_ENTRIES:
+        return rows
+    M = _int64_rows(rows, array)
+    return rows if M is None else _ArrayRows(M)
 
 
-def _int_matrix(data) -> tuple[Sequence[list[int]], np.ndarray | None]:
-    """A matrix's rows and :func:`_int64_matrix`: a public call's one validation and cast."""
-    rows, array = _int_rows(data)
-    return rows, _int64_matrix(rows, array)
+def _int_matrix(data) -> Sequence[list[int]]:
+    """A public call's one validation and cast, as one value: the rows of
+    :func:`_int_rows` through the int64 gate of :func:`_int64_view`."""
+    return _int64_view(*_int_rows(data))
+
+
+def _nonnegative_rows(A) -> Sequence[list[int]]:
+    """:func:`_int_matrix` of A; ValueError unless every entry is
+    nonnegative, read from the int64 matrix's minimum inside the gate."""
+    rows = _int_matrix(A)
+    if (rows.M.min() if type(rows) is _ArrayRows else min(map(min, rows))) < 0:
+        raise ValueError("matrix must be nonnegative")
+    return rows
 
 
 def _int64_rows(rows: Sequence[Sequence[int]], array: np.ndarray | None = None) -> np.ndarray | None:
@@ -384,9 +389,7 @@ def _int64_rows(rows: Sequence[Sequence[int]], array: np.ndarray | None = None) 
     return M if -_INT64_SAFE <= M.min() and M.max() <= _INT64_SAFE else None
 
 
-def _span_numerators(
-    brows: Sequence[Vec2], piv: Pivot, rows: Sequence[Sequence[int]], M: np.ndarray | None = None
-) -> list[Vec2] | None:
+def _span_numerators(brows: Sequence[Vec2], piv: Pivot, rows: Sequence[Sequence[int]]) -> list[Vec2] | None:
     """Numerators (n0, n1) with d * y == n0 * col0 + n1 * col1 for every
     column y of the matrix given by its rows, where col0, col1 are the
     columns of the n x 2 basis given by its rows and piv = (i, k, d) is a
@@ -394,16 +397,17 @@ def _span_numerators(
     Cramer's rule on rows i and k gives the numerators; the check covers
     every entry.
 
-    This is the one span check.  It runs as numpy int64 arithmetic when the
-    caller gives M, the matrix's :func:`_int64_matrix`, and every entry of
-    the basis also lies in [-2**20, 2**20]: then |d|, |n0|, |n1| <= 2**41,
+    This is the one span check.  It runs as numpy int64 arithmetic on the
+    int64 matrix M when the rows are :class:`_ArrayRows` of M, and every
+    entry of the basis also lies in [-2**20, 2**20]: then |d|, |n0|, |n1| <= 2**41,
     and every product and sum is at most 2**62 in size, so nothing
     overflows.  Otherwise the check runs on Python ints, at any magnitude.
     """
     i, k, d = piv
     (a0, a1), (b0, b1) = brows[i], brows[k]
-    C = None if M is None else _int64_rows(brows)
+    C = _int64_rows(brows) if type(rows) is _ArrayRows else None
     if C is not None:
+        M = rows.M
         n0 = M[i] * b1 - M[k] * a1
         n1 = a0 * M[k] - b0 * M[i]
         if np.count_nonzero(C[:, :1] * n0 + C[:, 1:] * n1 != d * M):
@@ -417,13 +421,11 @@ def _span_numerators(
     return nums
 
 
-def _int_points(
-    brows: Sequence[Vec2], piv: Pivot, rows: Sequence[Sequence[int]], M: np.ndarray | None = None
-) -> list[Vec2 | None]:
+def _int_points(brows: Sequence[Vec2], piv: Pivot, rows: Sequence[Sequence[int]]) -> list[Vec2 | None]:
     """Integer coordinates in the basis of each column of the matrix given
-    by its rows (and by M, as in :func:`_span_numerators`); None for a
-    column outside the span or whose coordinates are not integers."""
-    nums = _span_numerators(brows, piv, rows, M)
+    by its rows (read as in :func:`_span_numerators`); None for a column
+    outside the span or whose coordinates are not integers."""
+    nums = _span_numerators(brows, piv, rows)
     if nums is None:  # some column is outside the span: check each alone
         cols = (_span_numerators(brows, piv, [[x] for x in col]) for col in zip(*rows))
         nums = [None if c is None else c[0] for c in cols]
@@ -461,13 +463,14 @@ def _hermite2(vectors) -> tuple[Vec2, Vec2]:
 
 
 def _frame(
-    rows: Sequence[Sequence[int]], M: np.ndarray | None = None, name_rank: bool = True
+    rows: Sequence[Sequence[int]], name_rank: bool = True
 ) -> tuple[int | None, tuple[list[Vec2], Pivot, list[Vec2]] | None]:
     """The exact rank and, at rank 2, the frame :func:`_column_frame` returns,
-    for the matrix given by its rows and by M, its :func:`_int64_matrix`,
-    whose columns it reads when M is given.  A failed span check means a
-    rank above 2: Bareiss elimination names it under ``name_rank``, else None."""
+    for the matrix given by its rows, whose columns it reads from M when the
+    rows are :class:`_ArrayRows` of M.  A failed span check means a rank
+    above 2: Bareiss elimination names it under ``name_rank``, else None."""
     m = len(rows[0])
+    M = rows.M if type(rows) is _ArrayRows else None
     if M is None:
         j0 = next((j for j in range(m) if any(row[j] for row in rows)), None)
     else:
@@ -482,24 +485,22 @@ def _frame(
             break
     else:
         return 1, None
-    coords = _span_numerators(B, piv, rows, M)
+    coords = _span_numerators(B, piv, rows)
     if coords is None:
         return (_bareiss([list(row) for row in rows])[0] if name_rank else None), None
     return 2, (B, piv, coords)
 
 
-def _column_frame(
-    rows: Sequence[Sequence[int]], M: np.ndarray | None = None
-) -> tuple[list[Vec2], Pivot, list[Vec2]]:
-    """Two independent columns of a rank-2 matrix, given by its rows and by
-    M as in :func:`_frame`, and every column in them.
+def _column_frame(rows: Sequence[Sequence[int]]) -> tuple[list[Vec2], Pivot, list[Vec2]]:
+    """Two independent columns of a rank-2 matrix, given by its rows as in
+    :func:`_frame`, and every column in them.
 
     Returns B (the rows of the first nonzero column and the first column
     independent of it, as 2-vectors), a pivot of B, and each column's
     coordinates in B as numerators over the pivot's minor.  Checking every
     column is the rank test: ValueError, naming the rank, unless it is 2.
     """
-    rank, frame = _frame(rows, M)
+    rank, frame = _frame(rows)
     if frame is None:
         raise ValueError(f"matrix must have rank 2, got rank {rank}")
     return frame

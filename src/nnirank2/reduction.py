@@ -17,18 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import _nonnegative_rows, _plane_cone, cone_from_constraint_rows
+from .diagram import _plane_cone, cone_from_constraint_rows
 from .linalg import (
     Pivot,
     Vec2,
     _column_frame,
     _hermite2,
     _frame,
-    _int64_matrix,
+    _int64_view,
     _int_matrix,
     _int_points,
     _int_rows,
     _lagrange_gauss,
+    _nonnegative_rows,
     _pivot,
     as_int_matrix,
     as_int_vector,
@@ -96,8 +97,8 @@ def row_lattice_basis(A) -> tuple[np.ndarray, np.ndarray]:
     lifted back and reduced by the canonical Lagrange-Gauss rule of
     ``linalg._lagrange_gauss``.  Raises ValueError unless A has rank 2.
     """
-    rows, M = _int_matrix(A)
-    B, piv, _ = _column_frame(rows, M)
+    rows = _int_matrix(A)
+    B, piv, _ = _column_frame(rows)
     return tuple(as_int_vector(a) for a in _row_lattice(rows, B, piv))
 
 
@@ -112,8 +113,8 @@ def build_3xm(A) -> tuple[np.ndarray, StageTrace]:
     that preserves lattice generation.  All of this runs in coordinates of
     the reduced row-lattice basis.
     """
-    rows, M = _nonnegative_rows(A)
-    B, piv, _ = _column_frame(rows, M)
+    rows = _nonnegative_rows(A)
+    B, piv, _ = _column_frame(rows)
     (_, i1), (_, i2) = _plane_cone(B)
     a1, a2 = _row_lattice(rows, B, piv)
     lattice = list(zip(a1, a2))
@@ -203,16 +204,15 @@ def validate_equivalence(A, B) -> EquivalenceReport:
     rows_b, _ = _int_rows(B)
     if len(rows_a[0]) != len(rows_b[0]):
         raise ValueError("matrices must have the same column count")
-    stack = [*rows_a, *rows_b]
-    # the one cast: of the stack, whose slices are A's and B's
-    M = _int64_matrix(stack)
+    # the one cast: of the stack, whose slices are A's and B's rows
+    stack = _int64_view([*rows_a, *rows_b])
     n = len(rows_a)
-    _column_frame(stack[:n], None if M is None else M[:n])  # rank checks
-    _column_frame(stack[n:], None if M is None else M[n:])
+    _column_frame(stack[:n])  # rank checks
+    _column_frame(stack[n:])
     # B's rows lie in A's row space exactly when the stack has rank 2, which
     # its span check decides; the stack's frame columns then project that
     # row space injectively
-    frame = _frame(stack, M, name_rank=False)[1]
+    frame = _frame(stack, name_rank=False)[1]
     cond_row_space = frame is not None
 
     cond_lattice = cond_cone = False

@@ -3,7 +3,8 @@ linalg._INT64_MIN_ENTRIES entries, each in [-2**20, 2**20]) is read as it
 is: ``linalg._int_rows`` gives its rows as a read-only view of the int64
 matrix and builds no list of them.  The layers read columns and single rows
 from that matrix; a consumer that needs every row as a list builds them.
-Every answer must equal the one list input gives."""
+``linalg._int_matrix`` gives an object array or lists in the gate the same
+form.  Every answer must equal the one list input gives."""
 
 import random
 import sys
@@ -11,9 +12,10 @@ import sys
 import numpy as np
 import pytest
 
+from nnirank2 import linalg, reduction
 from nnirank2.diagram import build_diagram, column_lattice_basis, extreme_rays, point_coordinates
 from nnirank2.instances import gen_product
-from nnirank2.linalg import _ArrayRows, _int_rows, as_int_matrix, det_exact, rank_exact
+from nnirank2.linalg import _ArrayRows, _int_matrix, _int_rows, as_int_matrix, det_exact, rank_exact
 from nnirank2.matrixio import format_matrix
 from nnirank2.reduction import build_3xm, reduce_to_3x3, row_lattice_basis, validate_equivalence
 from nnirank2.solver import solve, verify_factorization
@@ -187,3 +189,77 @@ def test_matrix_and_unsigned_input_keep_the_list_path(form):
     assert type(rows) is list and rows == A and array is None
     for fn in CALLS.values():
         assert answer(fn, X) == answer(fn, A)
+
+
+# --- _int_matrix: one value, the rows, which carry their int64 view ------
+
+def forms(rows):
+    """rows as an int64 array, an object array of Python ints and lists."""
+    return {"int64": np.array(rows, dtype=np.int64), "object": np.array(rows, dtype=object),
+            "list": [list(r) for r in rows]}
+
+
+def test_int_matrix_in_the_gate_is_array_rows_for_every_input_form():
+    r = random.Random(10)
+    rows = [[r.randint(-(2**20), 2**20) for _ in range(20)] for _ in range(15)]
+    rows[0][:2] = [-(2**20), 2**20]  # 300 entries, the gate's edges included
+    for form, X in forms(rows).items():
+        got = _int_matrix(X)
+        assert isinstance(got, _ArrayRows) and got.M.dtype == np.int64, form
+        assert list(got) == rows, form
+
+
+@pytest.mark.parametrize("n, m, entry", [(13, 23, 9), (15, 20, 2**20 + 1), (15, 20, -(2**20) - 1)])
+def test_int_matrix_outside_the_gate_is_lists(n, m, entry):
+    # 299 entries, or 300 with one entry past the span check's bound
+    r = random.Random(11)
+    rows = [[r.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+    rows[4][7] = entry
+    for form, X in forms(rows).items():
+        got = _int_matrix(X)
+        assert type(got) is list and got == rows, form
+
+
+def test_a_slice_of_array_rows_is_array_rows_over_the_same_rows():
+    M = np.arange(300, dtype=np.int64).reshape(15, 20)
+    rows = _ArrayRows(M)
+    for part in (slice(None, 4), slice(4, None), slice(2, 9, 3)):
+        got = rows[part]
+        assert isinstance(got, _ArrayRows) and np.shares_memory(got.M, M)
+        assert list(got) == M[part].tolist()
+    assert rows[3] == M[3].tolist()
+
+
+def test_validate_equivalence_agrees_with_the_python_path_on_a_large_product(monkeypatch):
+    F1, F2, A = gen_product(300, 300, 25, seed=[34, 0])
+    B1 = build_3xm(A)[0]
+    u, v = F2.tolist()
+    v[0] += 1  # off A's row space: u, v and u + v have rank 2
+    others = {"B1": B1, "2 B1": 2 * B1, "other rows": np.array([u, v, [x + y for x, y in zip(u, v)]], dtype=object)}
+    want = {"B1": (True, True, True), "2 B1": (True, False, True), "other rows": (False, False, False)}
+    frames = []
+    real = linalg._frame
+
+    def spied(rows, *a, **k):
+        frames.append(isinstance(rows, _ArrayRows))
+        return real(rows, *a, **k)
+
+    for module in (linalg, reduction):
+        monkeypatch.setattr(module, "_frame", spied)
+
+    def reports():
+        out = {}
+        for form, X in {"int64": A.astype(np.int64), "object": A, "list": A.tolist()}.items():
+            for name, B in others.items():
+                frames.clear()
+                rep = validate_equivalence(X, B)
+                out[form, name] = (rep.row_space, rep.row_lattice, rep.cone), tuple(frames)
+        return out
+
+    gated = reports()
+    monkeypatch.setattr(linalg, "_INT64_MIN_ENTRIES", 10**9)
+    python_ints = reports()
+    for key, (report, frame_rows) in gated.items():
+        assert report == python_ints[key][0] == want[key[1]], key
+        # A's slice, B's slice and the whole stack, each read from the int64 view
+        assert frame_rows == (True, True, True) and python_ints[key][1] == (False, False, False), key

@@ -172,8 +172,7 @@ CAST_CASES = {
 def test_int64_casts_give_the_python_int_answers(monkeypatch, case):
     X, s = CAST_CASES[case]
     assert linalg._INT64_MIN_ENTRIES <= X.size
-    rows, array = linalg._int_rows(X)
-    assert (linalg._int64_matrix(rows, array) is not None) == (abs(s) <= 2**20)
+    assert isinstance(linalg._int_matrix(X), linalg._ArrayRows) == (abs(s) <= 2**20)
     # the certificate (1, 0), (0, 1), (1, 1) in turn times the rows u and v, scaled
     F1 = np.array([[(1, 0), (0, 1), (1, 1)][i % 3] for i in range(20)], dtype=X.dtype)
     F2 = np.array([U, V], dtype=X.dtype) * X.dtype.type(s)
@@ -208,7 +207,7 @@ def test_an_object_array_is_cast_by_astype_only_when_it_holds_python_ints():
 
 # (validations, casts) of each public call on a 20 x 20 product: each of its
 # matrices is validated once (linalg._int_rows) and cast to int64 at most
-# once (linalg._int64_matrix, or linalg._int64_rows for each factor of a
+# once (linalg._int64_view, or linalg._int64_rows for each factor of a
 # certificate).
 # solve and reduce_to_3x3 count those of the public calls they make.
 PASSES = {
@@ -249,8 +248,8 @@ def test_each_public_call_validates_once_and_casts_at_most_once(monkeypatch):
 
     everywhere = (linalg, diagram, reduction, solver, matrixio)
     # the certificate's factors are cast under solver's name for
-    # _int64_rows; linalg's own calls cast a basis or go through _int64_matrix
-    for key, name, modules in (("validate", "_int_rows", everywhere), ("cast", "_int64_matrix", everywhere),
+    # _int64_rows; linalg's own calls cast a basis or go through _int64_view
+    for key, name, modules in (("validate", "_int_rows", everywhere), ("cast", "_int64_view", everywhere),
                                ("cast", "_int64_rows", (solver,))):
         fn = counted(key, getattr(modules[0], name))
         for module in modules:

@@ -11,11 +11,11 @@ from nnirank2.diagram import (
     column_lattice_basis,
     cone_from_constraint_rows,
     extreme_rays,
-    in_cone,
     point_coordinates,
 )
 from nnirank2.instances import gen_bt, gen_product
 from nnirank2.linalg import as_int_matrix, det_exact, primitive_point
+from reference import in_cone
 
 PAPER_BASIS = [[0, 1], [1, 0], [3, -1]]
 

@@ -62,7 +62,7 @@ def test_uint64_is_never_handed_to_astype():
     X = np.full((20, 20), 2**64 - 1, dtype=np.uint64)
     rows, array = _int_rows(X)
     assert array is None and rows[0][0] == 2**64 - 1
-    assert linalg._int64_matrix(rows, array) is None
+    assert linalg._int_matrix(X) == rows
     assert rank_exact(X) == 1
 
 

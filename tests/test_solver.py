@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import SUBMATRIX_4COL, run_python
-from nnirank2.diagram import CanonicalDiagram, Diagram, build_diagram, canonicalize, in_cone
+from nnirank2.diagram import CanonicalDiagram, Diagram, build_diagram, canonicalize
 from nnirank2 import linalg, solver
 from nnirank2.instances import gen_bt, gen_near_t, gen_product
 from nnirank2.linalg import _hermite2, as_int_matrix, cross2, primitive_point, rank_exact
 from nnirank2.oracle import brute_force
+from reference import in_cone
 from nnirank2.solver import (
     NOT_RANK2,
     RANK2,
