@@ -2,9 +2,10 @@
 
 Public functions return numpy object arrays holding Python ints, so every
 operation is exact at any magnitude.  There is no floating point anywhere
-in this module.  Each public function validates its matrix once and casts
-it to int64 at most once, into one value (``_int_matrix``): its rows, which
-inside the int64 gate are ``_ArrayRows`` holding the int64 matrix as it is.
+in this module.  Each public function validates its matrix once (an array
+with no row listed) and casts it to int64 at most once, into one value
+(``_int_matrix``): its rows, which inside the int64 gate are ``_ArrayRows``
+holding the int64 matrix as it is, and lists outside it.
 
 The private rank-2 lattice kernel (``_pivot`` to ``_lagrange_gauss``) works
 on tuples of Python ints, except that its one span check runs as numpy
@@ -39,9 +40,9 @@ def _entry(x) -> int:
 
 
 class _ArrayRows(Sequence):
-    """The rows of an int64 matrix M, read-only: row i is M[i].tolist(), and
-    a slice is _ArrayRows of M's slice.  Only this module reads M.  It is
-    tested by type: isinstance through the Sequence ABC costs 10 times more."""
+    """Rows of an integer array M, read-only: row i is M[i].tolist(), a slice
+    is _ArrayRows of M's slice.  Only this module reads M, int64 past the gate
+    (:func:`_int64_view`).  Tested by type: isinstance via Sequence costs 10x."""
 
     def __init__(self, M: np.ndarray) -> None:
         self.M = M
@@ -59,26 +60,25 @@ def _int_rows(data) -> tuple[Sequence[list[int]], np.ndarray | None]:
 
     This is the one input contract of every entry point: empty or ragged
     input and entries that are not integers (floats, strings, bools) raise
-    ValueError.  A plain signed integer array needs no type pass; else one
-    pass over every entry accepts the common case.  When it fails, the rows
-    are checked in order, each for its length and then its entries, so the
-    first bad row gives the error, and only rows with an entry that is not
-    a Python int are rebuilt through ``_entry``.
+    ValueError.  A plain signed integer array needs no type pass, a plain
+    object array one flat pass over its entries, nested sequences one over
+    their rows.  When it fails, the rows are checked in order, each for its
+    length and then its entries, so the first bad row gives the error, and
+    only rows with an entry that is not a Python int go through ``_entry``.
 
     The array is ``data`` itself when it is a plain ndarray from which
     ``astype(np.int64)`` reads exactly these ints: an object array whose
-    entries all are Python ints, or a signed integer dtype.  Otherwise it
-    is None, for unsigned dtypes too: astype wraps uint64 2**64 - 1 to -1
-    without an error.  In the int64 gate (see _INT64_SAFE) a signed array
-    comes back as its int64 cast M, and its rows as :class:`_ArrayRows` of M.
+    entries all are Python ints, or a signed integer dtype (not unsigned:
+    astype wraps uint64 2**64 - 1 to -1 without an error); else None.  With
+    at least _INT64_MIN_ENTRIES entries such an array is not listed: its rows
+    are :class:`_ArrayRows` of it, for the int64 gate to cast or list.
     """
     if isinstance(data, np.ndarray) and data.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got {data.ndim} dimensions")
     # type(data) is, not isinstance: np.matrix and masked input are rebuilt as plain arrays
-    signed = type(data) is np.ndarray and data.dtype.kind == "i"
-    if signed and data.size >= _INT64_MIN_ENTRIES and -_INT64_SAFE <= data.min() and data.max() <= _INT64_SAFE:
-        M = data.astype(np.int64, copy=False)
-        return _ArrayRows(M), M
+    plain = type(data) is np.ndarray and data.size and data.dtype.kind in "iO"
+    if plain and (data.dtype.kind == "i" or list(map(type, data.ravel().tolist())).count(int) == data.size):
+        return (_ArrayRows(data) if data.size >= _INT64_MIN_ENTRIES else data.tolist()), data
     try:
         rows = data.tolist() if isinstance(data, np.ndarray) else [list(r) for r in data]
     except TypeError:
@@ -86,10 +86,8 @@ def _int_rows(data) -> tuple[Sequence[list[int]], np.ndarray | None]:
     if not rows or not rows[0]:
         raise ValueError("matrix must have at least one row and one column")
     width = len(rows[0])
-    exact = signed or all(len(row) == width for row in rows) and (
-        list(map(type, chain.from_iterable(rows))).count(int) == len(rows) * width
-    )
-    if not exact:
+    if plain or not all(len(row) == width for row in rows) or (  # plain: its flat pass failed
+            list(map(type, chain.from_iterable(rows))).count(int) != len(rows) * width):
         for i, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(
@@ -97,15 +95,14 @@ def _int_rows(data) -> tuple[Sequence[list[int]], np.ndarray | None]:
                 )
             if set(map(type, row)) != {int}:
                 rows[i] = [_entry(x) for x in row]
-    plain = signed or exact and type(data) is np.ndarray and data.dtype == object
-    return rows, data if plain else None
+    return rows, None
 
 
 def as_int_matrix(data) -> np.ndarray:
     """Coerce nested sequences or arrays to a 2-D object array of Python ints,
     under the contract of :func:`_int_rows`.  A plain object array that
     already holds only Python ints, or of a signed integer dtype, comes
-    back cast by ``astype(object)``, which gives Python ints, with no rebuild.
+    back as ``astype(object)`` of it, Python ints, with no row listed.
     """
     rows, array = _int_rows(data)
     return np.array(rows, dtype=object) if array is None else array.astype(object)
@@ -171,16 +168,18 @@ def cross2(p: Vec2, q: Vec2) -> int:
 
 def _extremes(vectors: Sequence[Vec2]) -> tuple[Vec2, Vec2]:
     """Angularly lowest and highest of nonzero plane vectors that lie in an
-    open half-plane.  Scanned by (squared norm, vector), only strictly lower
-    or higher vectors replace an extreme, so parallel ties go to the smaller."""
-    vs = sorted(vectors, key=lambda p: (p[0] * p[0] + p[1] * p[1], p))
-    lo = hi = vs[0]
-    for p in vs[1:]:
-        if cross2(p, lo) > 0:
+    open half-plane, in one pass: a vector replaces an extreme e when it is
+    strictly lower (higher), or points the way e does, not the opposite, and
+    is shorter (0 < p.e < e.e).  On one line in both directions the extremes
+    end equal, and become the least vector by (squared norm, vector)."""
+    lo = hi = vectors[0]
+    for p in vectors:
+        c, d = cross2(p, lo), cross2(p, hi)
+        if c > 0 or not c and 0 < p[0] * lo[0] + p[1] * lo[1] < lo[0] * lo[0] + lo[1] * lo[1]:
             lo = p
-        elif cross2(p, hi) < 0:
+        if d < 0 or not d and 0 < p[0] * hi[0] + p[1] * hi[1] < hi[0] * hi[0] + hi[1] * hi[1]:
             hi = p
-    return lo, hi
+    return (lo, hi) if lo != hi else (min(vectors, key=lambda p: (_dot(p, p), p)),) * 2
 
 
 def _bareiss(M: list[list[int]]) -> tuple[int, int]:
@@ -344,16 +343,21 @@ def _pivot(brows: Sequence[Vec2]) -> Pivot | None:
 # numpy 2.4).
 _INT64_SAFE = 2**20
 _INT64_MIN_ENTRIES = 300
+# Entries per row block of the int64 span check, whose temporaries then stay
+# in cache: one 300 x 300 check took 707 us whole, 362 us in blocks of 2**13
+# and 330 us in blocks of 2**14 (best of 5 x 50, shared 2-vCPU Xeon, numpy
+# 2.4); solve plus reduce over product_large, alternating, did not tell them apart.
+_SPAN_BLOCK = 2**13
 
 
 def _int64_view(rows: Sequence[Sequence[int]], array: np.ndarray | None = None) -> Sequence[list[int]]:
     """The int64 gate: rows validated by :func:`_int_rows`, with its ``array``,
     as :class:`_ArrayRows` of their :func:`_int64_rows` matrix when they have
-    at least _INT64_MIN_ENTRIES entries and that matrix exists; else as they are."""
-    if type(rows) is _ArrayRows or len(rows) * len(rows[0]) < _INT64_MIN_ENTRIES:
-        return rows
-    M = _int64_rows(rows, array)
-    return rows if M is None else _ArrayRows(M)
+    at least _INT64_MIN_ENTRIES entries and that matrix exists; else as
+    lists, built here from an array whose rows _int_rows did not list."""
+    size = len(rows) * len(rows[0]) if array is None else array.size
+    M = _int64_rows(rows, array) if size >= _INT64_MIN_ENTRIES else None
+    return (array.tolist() if type(rows) is _ArrayRows else rows) if M is None else _ArrayRows(M)
 
 
 def _int_matrix(data) -> Sequence[list[int]]:
@@ -378,11 +382,11 @@ def _int64_rows(rows: Sequence[Sequence[int]], array: np.ndarray | None = None) 
     astype, faster than ``np.fromiter`` over the flattened rows (1.7-1.9 ms
     against 1.9-2.9 ms at 300 x 300); anything else is read by fromiter.
     The bound is tested with min and max, since np.abs(-2**63) is negative."""
-    n, m = len(rows), len(rows[0])
     try:
         if array is not None:
             M = array.astype(np.int64, copy=False)
         else:
+            n, m = len(rows), len(rows[0])
             M = np.fromiter(chain.from_iterable(rows), np.int64, n * m).reshape(n, m)
     except OverflowError:
         return None
@@ -401,7 +405,9 @@ def _span_numerators(brows: Sequence[Vec2], piv: Pivot, rows: Sequence[Sequence[
     int64 matrix M when the rows are :class:`_ArrayRows` of M, and every
     entry of the basis also lies in [-2**20, 2**20]: then |d|, |n0|, |n1| <= 2**41,
     and every product and sum is at most 2**62 in size, so nothing
-    overflows.  Otherwise the check runs on Python ints, at any magnitude.
+    overflows.  It reads M in row blocks of about _SPAN_BLOCK entries and
+    stops at the first block that fails.  Otherwise the check runs on Python
+    ints, at any magnitude.
     """
     i, k, d = piv
     (a0, a1), (b0, b1) = brows[i], brows[k]
@@ -410,8 +416,10 @@ def _span_numerators(brows: Sequence[Vec2], piv: Pivot, rows: Sequence[Sequence[
         M = rows.M
         n0 = M[i] * b1 - M[k] * a1
         n1 = a0 * M[k] - b0 * M[i]
-        if np.count_nonzero(C[:, :1] * n0 + C[:, 1:] * n1 != d * M):
-            return None
+        step = max(1, _SPAN_BLOCK // len(n0))
+        for s in range(0, len(M), step):
+            if np.count_nonzero(C[s:s + step, :1] * n0 + C[s:s + step, 1:] * n1 != d * M[s:s + step]):
+                return None
         return list(zip(n0.tolist(), n1.tolist()))
     nums = [(yi * b1 - yk * a1, a0 * yk - b0 * yi) for yi, yk in zip(rows[i], rows[k])]
     for (c0, c1), row in zip(brows, rows):

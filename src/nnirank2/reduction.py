@@ -21,6 +21,7 @@ from .diagram import _plane_cone, cone_from_constraint_rows
 from .linalg import (
     Pivot,
     Vec2,
+    _ArrayRows,
     _column_frame,
     _hermite2,
     _frame,
@@ -200,12 +201,14 @@ def validate_equivalence(A, B) -> EquivalenceReport:
 
     Raises ValueError on unequal column counts or rank != 2 inputs.
     """
-    rows_a, _ = _int_rows(A)
-    rows_b, _ = _int_rows(B)
+    rows_a, a = _int_rows(A)
+    rows_b, b = _int_rows(B)
     if len(rows_a[0]) != len(rows_b[0]):
         raise ValueError("matrices must have the same column count")
-    # the one cast: of the stack, whose slices are A's and B's rows
-    stack = _int64_view([*rows_a, *rows_b])
+    # the one cast: of the stack, whose slices are A's and B's rows, stacked
+    # as an array when both come with one
+    S = None if a is None or b is None else np.vstack((a, b))
+    stack = _int64_view([*rows_a, *rows_b] if S is None else _ArrayRows(S), S)
     n = len(rows_a)
     _column_frame(stack[:n])  # rank checks
     _column_frame(stack[n:])

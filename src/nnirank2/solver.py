@@ -322,9 +322,9 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
     Each block of _BATCH_MAX of them is one call of :func:`_survivors`, on
     base = P[j0:j1] - first*ux for its first pair t = ``first``, in the
     arithmetic :func:`_batch_dtype` picks.  A survivor's column comes from
-    bisecting the prefix sums as a Python list, and it joins the stream in
-    order, numbered by the prefix sum of all pairs, where the one loop
-    gives it the index test as it does every walked pair.
+    bisecting the prefix sums as a Python list; it meets the index test
+    there, and only a pair that passes joins the stream in order, numbered
+    by the prefix sum of all pairs, to be built by the one loop.
     int64 gate: as 0 <= y <= uy, every x*uy, y*ux <= ux*uy and N <=
     G*ux**2/4, as h2 | G; the column bounds' within uy, vy*ux and cy*ux
     (vy, cy >= 0 in the cone), the cuts' within x*uy + N and a chunk's
@@ -451,7 +451,8 @@ def search(cd: CanonicalDiagram, collect_rejections: bool = False) -> SolveOutco
                     t += first
                     j = bisect_right(tested, t, j0, j1)
                     x, y = start + j, offsets[j] + t
-                    yield (x, y), (ux - x, uy - y), pairs + untested[j] + t + 1
+                    if G % ((x * uy - y * ux) // (gcd(x, y) * gcd(ux - x, uy - y))) == 0:
+                        yield (x, y), (ux - x, uy - y), pairs + untested[j] + t + 1
             pairs += int(ends[-1])
 
     def sweep():
@@ -508,13 +509,13 @@ def verify_factorization(A, F1, F2) -> bool:
     """True iff F1 (n x 2) times F2 (2 x m) reproduces A exactly with
     nonnegative integer entries throughout.  Never raises.
 
-    Each matrix is validated once and one test refuses a negative factor
-    entry.  When A has at least linalg._INT64_MIN_ENTRIES entries, the
-    frame's size cut, each factor is cast by linalg._int64_rows; if both
-    casts succeed, every factor entry is in [0, 2**20], so each product
-    entry is at most 2**41 and the int64 product is exact; it is compared
-    with a signed-integer A as it is, with anything else as lists.  Otherwise
-    the product runs on Python ints, row by row, faster on a small A.
+    Each matrix is validated once and one test, on its array if it has one,
+    refuses a negative factor entry.  When A has at least _INT64_MIN_ENTRIES
+    entries, linalg's size cut, each factor is cast by linalg._int64_rows;
+    if both casts succeed, every factor entry is in [0, 2**20], so each
+    product entry is at most 2**41 and the int64 product is exact; it is
+    compared with a signed-integer A as it is, with anything else as lists.
+    Otherwise the product runs on Python ints, faster on a small A.
     """
     try:
         (rows, a0), (f1, a1), (f2, a2) = (_int_rows(X) for X in (A, F1, F2))
@@ -522,12 +523,12 @@ def verify_factorization(A, F1, F2) -> bool:
         return False
     if (len(f1), len(f1[0]), len(f2), len(f2[0])) != (len(rows), 2, 2, len(rows[0])):
         return False
-    if any(x < 0 for x in chain(*f1, *f2)):
+    if any((min(map(min, f)) if a is None else a.min()) < 0 for f, a in ((f1, a1), (f2, a2))):
         return False
     if len(rows) * len(rows[0]) >= linalg._INT64_MIN_ENTRIES:
         F, G = _int64_rows(f1, a1), _int64_rows(f2, a2)
         if F is not None and G is not None:
-            return (F @ G).tolist() == rows if a0 is None or a0.dtype == object else np.array_equal(F @ G, a0)
+            return (F @ G).tolist() == list(rows) if a0 is None or a0.dtype == object else np.array_equal(F @ G, a0)
     return [[a * x + b * y for x, y in zip(*f2)] for a, b in f1] == list(rows)
 
 
@@ -567,7 +568,7 @@ def solve(A, r: int = 1, collect_rejections: bool = False) -> SolveOutcome:
         A = A.astype(np.int64)
     except OverflowError:
         pass  # the object array: every layer reads Python ints at any size
-    if (A < 0).any():
+    if A.min() < 0:
         raise ValueError("matrix must be nonnegative")
     rk = rank_exact(A)
     if rk > 2:

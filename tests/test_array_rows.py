@@ -1,10 +1,12 @@
-"""A plain signed integer array that passes the int64 gate (at least
-linalg._INT64_MIN_ENTRIES entries, each in [-2**20, 2**20]) is read as it
-is: ``linalg._int_rows`` gives its rows as a read-only view of the int64
-matrix and builds no list of them.  The layers read columns and single rows
-from that matrix; a consumer that needs every row as a list builds them.
-``linalg._int_matrix`` gives an object array or lists in the gate the same
-form.  Every answer must equal the one list input gives."""
+"""A plain array of at least linalg._INT64_MIN_ENTRIES entries that passes
+its type check (a signed integer dtype, or an object array of Python ints
+after one flat type pass) is not listed: ``linalg._int_rows`` gives its rows
+as a read-only view of it, and the int64 gate (each entry in [-2**20,
+2**20]) casts it once and gives them as a view of the int64 matrix.  The
+layers read columns and single rows from that matrix; a consumer that needs
+every row as a list builds them, as does the gate when it refuses.
+``linalg._int_matrix`` gives list input in the gate the same form.  Every answer
+must equal the one list input gives."""
 
 import random
 import sys
@@ -50,6 +52,39 @@ def test_solve_and_reduce_build_the_rows_of_a_large_product_at_most_once():
             assert n <= most, (call.__name__, type(X))
             if isinstance(X, np.ndarray) and X.dtype == object:
                 assert n == 1, call.__name__
+
+
+def array_calls(call, X):
+    """call(X), and the ndarray.tolist and ndarray.astype calls it makes,
+    each with the shape of its array, as sys.setprofile's c_call events
+    show them."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) in ("tolist", "astype"):
+            owner = getattr(arg, "__self__", None)
+            if isinstance(owner, np.ndarray):
+                calls.append((arg.__name__, owner.shape))
+
+    sys.setprofile(profile)
+    try:
+        out = call(X)
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+def test_an_exact_object_array_is_read_in_one_flat_pass_and_never_listed_by_row():
+    A = gen_product(300, 300, 25, seed=[33, 0])[2]
+    assert A.dtype == object and all(type(x) is int for x in A.flat)
+    # the flat type pass and the copy astype(object): no row list, no int64 cast
+    out, calls = array_calls(as_int_matrix, A)
+    assert calls == [("tolist", (A.size,)), ("astype", A.shape)]
+    assert out.dtype == object and out is not A and out.tolist() == A.tolist()
+    # the same pass, then the gate's one cast, to int64
+    rows, calls = array_calls(_int_matrix, A)
+    assert calls == [("tolist", (A.size,)), ("astype", A.shape)]
+    assert type(rows) is _ArrayRows and rows.M.dtype == np.int64 and list(rows) == A.tolist()
 
 
 def gated(X):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import same_lattice
+from nnirank2 import diagram
 from nnirank2.diagram import (
     build_diagram,
     canonicalize,
@@ -14,8 +15,8 @@ from nnirank2.diagram import (
     point_coordinates,
 )
 from nnirank2.instances import gen_bt, gen_product
-from nnirank2.linalg import as_int_matrix, det_exact, primitive_point
-from reference import in_cone
+from nnirank2.linalg import _extremes, as_int_matrix, det_exact, primitive_point
+from reference import extremes_by_sort, in_cone
 
 PAPER_BASIS = [[0, 1], [1, 0], [3, -1]]
 
@@ -311,3 +312,39 @@ def test_cone_refuses_rows_without_two_entries():
     for row in ((1, 0, 5), (1,), 7):
         with pytest.raises(ValueError, match="constraint rows must have two entries"):
             cone_from_constraint_rows([row, (0, 1)])
+
+
+def test_extremes_in_one_pass_match_the_sorted_scan(monkeypatch):
+    # upper half-plane sets with duplicate and parallel vectors, all-parallel
+    # sets, sets on one line in both directions, and half-plane sets with an
+    # anti-parallel vector added, each under a random invertible map and
+    # shuffled; the last lie in no open half-plane, so only the cones compare
+    rng = random.Random(2613)
+
+    def upper():
+        while True:
+            x, y = rng.randint(-5, 5), rng.randint(0, 5)
+            if y > 0 or x > 0:
+                return x, y
+
+    def cones(sets):
+        return [cone_from_constraint_rows(vs) for vs in sets]
+
+    direct, anti = [], []
+    while len(direct) < 3000:
+        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        if a * d == b * c:
+            continue
+        base, v = [upper() for _ in range(rng.randint(1, 5))], upper()
+        half = base + [rng.choice(base)] + [(k * x, k * y) for x, y in base[:2] for k in (2, 3)]
+        for vs, out in ((half, direct), ([(k * v[0], k * v[1]) for k in (3, 1, 2)], direct),
+                        ([(k * v[0], k * v[1]) for k in (2, -1, 1, -3)], direct), (half + [(-x, -y) for x, y in base[:1]], anti)):
+            vs = [(a * x + b * y, c * x + d * y) for x, y in vs]
+            rng.shuffle(vs)
+            out.append(vs)
+    for vs in direct:
+        assert _extremes(vs) == extremes_by_sort(vs), vs
+    one_pass = cones(direct + anti)
+    monkeypatch.setattr(diagram, "_extremes", extremes_by_sort)
+    assert one_pass == cones(direct + anti)
+    assert sum(c is not None for c in one_pass) > 1000

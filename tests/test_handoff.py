@@ -13,7 +13,7 @@ import pytest
 
 from nnirank2 import diagram, linalg, matrixio, reduction, solver
 from nnirank2.diagram import build_diagram, column_lattice_basis, extreme_rays, point_coordinates
-from nnirank2.linalg import _int_rows, rank_exact
+from nnirank2.linalg import _int_rows, as_int_matrix, rank_exact
 from nnirank2.reduction import build_3xm, reduce_to_3x3, row_lattice_basis
 from nnirank2.solver import solve, verify_factorization
 
@@ -66,6 +66,18 @@ def test_uint64_is_never_handed_to_astype():
     assert rank_exact(X) == 1
 
 
+def object_array(n, m, *edits):
+    """The n x m object array of the Python ints 0, 1, ..., with each
+    (row, column, entry) edit applied."""
+    X = np.arange(n * m).reshape(n, m).astype(object)
+    for i, j, x in edits:
+        X[i, j] = x
+    return X
+
+
+BOOL = "entries must be integers, got the bool"
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
@@ -76,12 +88,29 @@ def test_uint64_is_never_handed_to_astype():
         (np.array([["1", "2"]]), "entries must be integers, got '1'"),
         (np.array([[1, 2], [3, 4]], dtype=np.float32), "entries must be integers, got 1.0"),
         (np.array([[True, False], [False, True]]), "entries must be integers, got the bool True"),
+        # an object array whose one flat type pass fails: the first bad row
+        # names the error, at 9 entries and just under and at the size cut
+        (object_array(3, 3, (2, 2, 1.5), (1, 0, True)), f"{BOOL} True"),
+        (object_array(13, 23, (12, 22, 1.5), (6, 5, np.True_)), f"{BOOL} {np.True_!r}"),
+        (object_array(15, 20, (14, 0, 2.5), (7, 19, True)), f"{BOOL} True"),
+        (object_array(15, 20, (14, 0, "7")), "entries must be integers, got '7'"),
+        (object_array(13, 23, (0, 22, None), (12, 0, 1.5)), "entries must be integers, got None"),
     ],
 )
 def test_malformed_input_keeps_its_message(data, message):
     with pytest.raises(ValueError) as exc:
         _int_rows(data)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (13, 23), (15, 20)])
+def test_a_numpy_int_in_an_object_array_is_accepted(n, m):
+    X = object_array(n, m, (n // 2, 1, np.int64(n // 2 * m + 1)))
+    want = np.arange(n * m).reshape(n, m).tolist()
+    rows, array = _int_rows(X)
+    assert rows == want and array is None
+    assert all(type(x) is int for row in rows for x in row)
+    assert as_int_matrix(X).tolist() == want and rank_exact(X) == 2
 
 
 # --- public entry points on every input form ------------------------------

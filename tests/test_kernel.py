@@ -231,6 +231,40 @@ def test_span_check_int64_bounds():
     assert point_coordinates([[2]] * n, [[2**62, 1]] + [[0, 1]] * (n - 1)) == [(0, 2)]
 
 
+def off_span(n, m, row):
+    """A rank-2 n x m product with small entries and the last entry of
+    ``row`` moved off its span, so that rank is 3; the frame's columns are
+    the first two and its pivot rows two others, so that entry is the only
+    one the span check refuses."""
+    rng = random.Random(2612 + n + row)
+    F1 = [[rng.randint(0, 9), rng.randint(0, 9)] for _ in range(n)]
+    F1[row] = [0, 0]
+    i, k = [r for r in range(n) if r != row][:2]
+    F1[i], F1[k] = [1, 0], [0, 1]
+    F2 = [[1, 0] + [rng.randint(0, 9) for _ in range(m - 2)], [0, 1] + [rng.randint(0, 9) for _ in range(m - 2)]]
+    A = [[a * x + b * y for x, y in zip(*F2)] for a, b in F1]
+    A[row][-1] += 1
+    return A
+
+
+@pytest.mark.parametrize("n, m", [(300, 300), (3, 20_000)])
+def test_the_blocked_span_check_refuses_an_entry_in_its_first_and_last_block(monkeypatch, n, m):
+    step = max(1, linalg._SPAN_BLOCK // m)
+    assert n > step  # more than one row block; at 3 x 20,000 each is one row
+    for row in (0, n - 1):  # in the first row block, and in the last
+        A = np.array(off_span(n, m, row), dtype=np.int64)
+        rows = _int_matrix(A)
+        assert type(rows) is linalg._ArrayRows
+        assert linalg._frame(rows, name_rank=False) == (None, None)
+        fixed = A.copy()
+        fixed[row, -1] -= 1
+        assert linalg._frame(_int_matrix(fixed), name_rank=False)[0] == 2
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_INT64_MIN_ENTRIES", 10**9)  # the Python-int check agrees
+            assert linalg._frame(_int_matrix(A), name_rank=False) == (None, None)
+    assert rank_exact(A) == 3
+
+
 @pytest.mark.parametrize("n, m, sigma, seed", [(100, 100, 3, 1), (200, 150, 10, 2), (300, 100, 3, 3)])
 def test_product_large_outputs_do_not_depend_on_the_span_path(monkeypatch, n, m, sigma, seed):
     _, _, A = gen_product(n, m, sigma, seed=[2611, seed])
